@@ -7,7 +7,9 @@ tracks the event loop rather than numpy setup — counts the kernel's
 dispatch slots (``Simulator.events_processed``: every Event ``_process``
 and every bare continuation), probes the monarch cell both fused and
 legacy-gated (the middleware continuation protocol's measured win, with
-its own regression floor), and times one full FIG3 grid pass at
+its own regression floor), probes a monarch serve-zipf replay (the
+continuation-driven request path, with its own floor), and times one
+full FIG3 grid pass at
 1/16 scale, the floor for presentable figure runs.  Measurements land in
 ``BENCH_kernel.json`` at the repo root.  If a committed baseline exists,
 events/sec must stay within 20 % of it — the regression gate behind
@@ -37,6 +39,7 @@ from repro.data.imagenet import IMAGENET_100G
 from repro.experiments.calibration import DEFAULT_CALIBRATION
 from repro.experiments.figures import fig3
 from repro.experiments.scenarios import build_run
+from repro.workload.spec import WORKLOADS
 
 BASELINE = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 #: tolerated slowdown vs the committed baseline before the gate trips.
@@ -53,19 +56,23 @@ FIG3_SCALE = 1 / 16
 METHODOLOGY = "dispatch-slots/execute-only"
 
 
-def _build_probe(scale: float, setup: str = "vanilla-lustre"):
+#: the serving probe's workload (replayed on the monarch setup)
+SERVE_WORKLOAD = "serve-zipf"
+
+
+def _build_probe(scale: float, setup: str = "vanilla-lustre", workload=None):
     return build_run(
         setup, "resnet50", IMAGENET_100G, DEFAULT_CALIBRATION,
-        scale=scale, seed=0,
+        scale=scale, seed=0, workload=workload,
     )
 
 
-def _best_wall(scale: float, setup: str, reps: int = PROBE_REPS):
+def _best_wall(scale: float, setup: str, reps: int = PROBE_REPS, workload=None):
     """(dispatch slots, best-of-``reps`` execute wall) for one cell."""
     events = None
     wall = float("inf")
     for _ in range(reps):
-        handle = _build_probe(scale, setup)
+        handle = _build_probe(scale, setup, workload)
         t0 = time.perf_counter()
         handle.execute()
         wall = min(wall, time.perf_counter() - t0)
@@ -90,6 +97,13 @@ def test_kernel_speed(bench_scale):
         del os.environ["REPRO_DISABLE_FUSED_PIPELINE"]
     monarch_events_per_sec = monarch_events / monarch_wall
 
+    # Serving replay: per-request continuations instead of the epoch
+    # pipeline, so it regresses independently of the training probes.
+    serve_events, serve_wall = _best_wall(
+        bench_scale, "monarch", workload=WORKLOADS[SERVE_WORKLOAD]
+    )
+    serve_events_per_sec = serve_events / serve_wall
+
     t0 = time.perf_counter()
     fig3(scale=FIG3_SCALE, runs=1)
     fig3_wall = time.perf_counter() - t0
@@ -110,6 +124,10 @@ def test_kernel_speed(bench_scale):
         "monarch_legacy_wall_s": round(monarch_legacy_wall, 4),
         "monarch_fused_speedup": round(monarch_legacy_wall / monarch_wall, 3),
         "monarch_events_per_sec": round(monarch_events_per_sec),
+        "serve_probe": f"monarch/{SERVE_WORKLOAD}",
+        "serve_events": serve_events,
+        "serve_wall_s": round(serve_wall, 4),
+        "serve_events_per_sec": round(serve_events_per_sec),
         "fig3_scale": FIG3_SCALE,
         "fig3_wall_s": round(fig3_wall, 2),
         "fig3_scale1_est_s": round(fig3_scale1_est, 1),
@@ -120,6 +138,8 @@ def test_kernel_speed(bench_scale):
           f"{monarch_legacy_wall:.3f}s "
           f"({monarch_legacy_wall / monarch_wall:.2f}x) -> "
           f"{monarch_events_per_sec:,.0f} events/s")
+    print(f"KERNEL: {SERVE_WORKLOAD} replay {serve_events} dispatch slots in "
+          f"{serve_wall:.3f}s -> {serve_events_per_sec:,.0f} events/s")
     print(f"KERNEL: fig3 grid at scale 1/16 in {fig3_wall:.1f}s "
           f"(scale=1 estimate ~{fig3_scale1_est / 60:.1f} min)")
 
@@ -151,4 +171,12 @@ def test_kernel_speed(bench_scale):
             f"monarch fused throughput regressed: "
             f"{monarch_events_per_sec:,.0f} events/s < {monarch_floor:,.0f} "
             f"({REGRESSION_FACTOR:.0%} of committed {monarch_baseline:,})"
+        )
+    serve_baseline = baseline.get("serve_events_per_sec")
+    if serve_baseline is not None:
+        serve_floor = REGRESSION_FACTOR * serve_baseline
+        assert serve_events_per_sec >= serve_floor, (
+            f"serve replay throughput regressed: "
+            f"{serve_events_per_sec:,.0f} events/s < {serve_floor:,.0f} "
+            f"({REGRESSION_FACTOR:.0%} of committed {serve_baseline:,})"
         )

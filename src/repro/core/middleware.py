@@ -34,8 +34,12 @@ from repro.core.metadata import FileState, MetadataContainer
 from repro.core.placement import PlacementHandler, make_eviction_policy
 from repro.core.policy import make_policy
 from repro.core.tenancy import FairShareArbiter, JobContext, NamespaceViolationError
-from repro.framework.io_layer import DataReader, OpenFile, continuation_capable
-from repro.simkernel.core import PRIORITY_URGENT, Event, SimulationError
+from repro.framework.io_layer import (
+    DataReader,
+    OpenFile,
+    _LegacyDrive,
+    continuation_capable,
+)
 from repro.simkernel.monitor import TagAccounting
 from repro.storage.base import IOFaultError
 from repro.storage.vfs import MountTable
@@ -522,98 +526,6 @@ class _ReadDone:
         cb(ev)
 
 
-class _LegacyDrive:
-    """Drives one legacy read generator continuation-style.
-
-    The fused pipeline issues every read through ``pread_begin``, but
-    only resident fast-tier hits are worth inlining; everything else —
-    misses, COPYING reads, quarantine fallback routing, tenancy-enforced
-    reads, fault-wrapped mounts — still runs the unmodified generator.
-    This object stands in for the worker ``Process``: it resumes the
-    generator from event callbacks in exactly the slots
-    ``Process._resume`` would (including the immediate-resume fast path
-    for already-processed events), so fused and generator modes dispatch
-    every timed op and RNG draw identically.  A generator exception is
-    delivered to the pipeline as an urgent failed event — the same slot
-    offset a dying reader process's fail event would occupy.
-    """
-
-    __slots__ = ("reader", "gen", "cb", "take")
-
-    def __init__(self, reader: "MonarchReader") -> None:
-        self.reader = reader
-        self.gen: Any = None
-        self.cb: Any = None
-        self.take = 0
-
-    def start(self, gen: Any, take: int, cb: Any) -> None:
-        """Run ``gen`` to its first suspension in the caller's slot."""
-        self.gen = gen
-        self.take = take
-        self.cb = cb
-        self._advance(gen.send, None, None)
-
-    def _step(self, ev: Any) -> None:
-        if ev._exc is not None:
-            self._advance(self.gen.throw, ev._exc, ev)
-        else:
-            self._advance(self.gen.send, ev._value, ev)
-
-    def _advance(self, entry: Any, arg: Any, last: Any) -> None:
-        gen = self.gen
-        try:
-            target = entry(arg)
-            # Mirror Process._resume's already-processed fast path: an
-            # event that fired in an earlier slot resumes immediately.
-            while target._processed:
-                last = target
-                if target._exc is not None:
-                    target = gen.throw(target._exc)
-                else:
-                    target = gen.send(target._value)
-        except StopIteration as stop:
-            self._finish(stop.value, last)
-            return
-        except BaseException as err:  # noqa: BLE001 - routed like a dead proc
-            self._fail(err)
-            return
-        target.add_callback(self._step)
-
-    def _finish(self, value: Any, last: Any) -> None:
-        if value != self.take:
-            # The protocol promised the transfer size synchronously; the
-            # generator returning anything else means records were built
-            # from a wrong size — fail loudly rather than diverge.
-            self._fail(
-                SimulationError(
-                    f"legacy read returned {value} bytes; fused protocol "
-                    f"promised {self.take}"
-                )
-            )
-            return
-        cb = self.cb
-        self.gen = None
-        self.cb = None
-        self.reader._drive_pool.append(self)
-        if last is None:
-            # Zero-yield completion (no real backend does this): defer one
-            # slot — a synchronous cb would run before the caller stored
-            # the returned transfer size.
-            self.reader.monarch.sim.call_now(cb, None, priority=PRIORITY_URGENT)
-            return
-        cb(last)
-
-    def _fail(self, err: BaseException) -> None:
-        cb = self.cb
-        sim = self.reader.monarch.sim
-        self.gen = None
-        self.cb = None
-        self.reader._drive_pool.append(self)
-        ev = Event(sim, name="legacy-read-error")
-        ev.add_callback(cb)
-        ev.fail(err, priority=PRIORITY_URGENT)
-
-
 class MonarchReader(DataReader):
     """The framework-side shim: DataReader backed by ``Monarch.read``.
 
@@ -752,8 +664,8 @@ class MonarchReader(DataReader):
         elif take < 0:
             take = 0
         pool = self._drive_pool
-        drive = pool.pop() if pool else _LegacyDrive(self)
-        drive.start(gen, take, cb)
+        drive = pool.pop() if pool else _LegacyDrive(self.monarch.sim, pool)
+        drive.start(gen, cb, take)
         return take
 
     def pread_begin_bound(self, f: OpenFile) -> tuple[Any, OpenFile]:

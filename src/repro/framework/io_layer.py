@@ -15,10 +15,17 @@ from collections.abc import Generator
 from dataclasses import dataclass
 from typing import Any
 
+from repro.simkernel.core import PRIORITY_URGENT, Event, SimulationError
 from repro.storage.base import FileHandle, StorageError
 from repro.storage.vfs import MountTable
 
-__all__ = ["DataReader", "OpenFile", "PosixReader", "continuation_capable"]
+__all__ = [
+    "DataReader",
+    "OpenFile",
+    "PosixReader",
+    "continuation_capable",
+    "fusion_miss",
+]
 
 #: per-class memo for :func:`continuation_capable` (classes are few and
 #: immutable at runtime; the check runs on per-read fast paths)
@@ -44,6 +51,118 @@ def continuation_capable(fs: Any) -> bool:
             and getattr(cls, "open_begin", None) is not None
         )
     return cap
+
+
+def fusion_miss(reader: Any, paths: list[str]) -> str | None:
+    """Why ``reader`` cannot serve ``paths`` continuation-style, or None.
+
+    ``reader:<Class>`` marks a reader without the ``fused_capable``
+    check (a generator-only reader); otherwise the reader's own
+    ``fused_miss`` reason.  The pipeline and the serving replay both
+    surface this in the RunReport meta.
+    """
+    cap = getattr(reader, "fused_capable", None)
+    if cap is not None and cap(paths):
+        return None
+    miss = getattr(reader, "fused_miss", None)
+    reason = miss(paths) if cap is not None and miss is not None else None
+    return reason or f"reader:{type(reader).__name__}"
+
+
+class _LegacyDrive:
+    """Drives one read generator continuation-style.
+
+    The trampoline that makes any generator-only read continuation-capable:
+    it stands in for the ``Process`` that would otherwise run ``gen``,
+    resuming the generator from event callbacks in exactly the slots
+    ``Process._resume`` would (including the immediate-resume fast path
+    for already-processed events), so a caller that swaps a per-read
+    process for this object dispatches every timed op and RNG draw
+    identically.  A generator exception is delivered to ``cb`` as an
+    urgent failed event — the slot a dying process's fail event would
+    occupy.  Instances return themselves to ``pool`` when done.
+
+    ``take`` is the transfer size the caller already promised its own
+    caller synchronously (the ``pread_begin`` contract).  With a promise
+    outstanding the generator's return value is checked against it, and
+    a zero-yield completion is deferred one urgent slot, since a
+    synchronous ``cb`` would run before the caller stored the size.
+    Without one (``take=None``) a zero-yield generator completes in its
+    start slot, as the process would have.
+    """
+
+    __slots__ = ("sim", "pool", "gen", "cb", "take")
+
+    def __init__(self, sim: Any, pool: list["_LegacyDrive"]) -> None:
+        self.sim = sim
+        self.pool = pool
+        self.gen: Any = None
+        self.cb: Any = None
+        self.take: int | None = None
+
+    def start(self, gen: Any, cb: Any, take: int | None = None) -> None:
+        """Run ``gen`` to its first suspension in the caller's slot."""
+        self.gen = gen
+        self.take = take
+        self.cb = cb
+        self._advance(gen.send, None, None)
+
+    def _step(self, ev: Any) -> None:
+        if ev._exc is not None:
+            self._advance(self.gen.throw, ev._exc, ev)
+        else:
+            self._advance(self.gen.send, ev._value, ev)
+
+    def _advance(self, entry: Any, arg: Any, last: Any) -> None:
+        gen = self.gen
+        try:
+            target = entry(arg)
+            # Mirror Process._resume's already-processed fast path: an
+            # event that fired in an earlier slot resumes immediately.
+            while target._processed:
+                last = target
+                if target._exc is not None:
+                    target = gen.throw(target._exc)
+                else:
+                    target = gen.send(target._value)
+        except StopIteration as stop:
+            self._finish(stop.value, last)
+            return
+        except BaseException as err:  # noqa: BLE001 - routed like a dead proc
+            self._fail(err)
+            return
+        target.add_callback(self._step)
+
+    def _finish(self, value: Any, last: Any) -> None:
+        take = self.take
+        if take is not None and value != take:
+            # The caller promised the transfer size synchronously; the
+            # generator returning anything else means records were built
+            # from a wrong size — fail loudly rather than diverge.
+            self._fail(
+                SimulationError(
+                    f"legacy read returned {value} bytes; fused protocol "
+                    f"promised {take}"
+                )
+            )
+            return
+        cb = self.cb
+        self.gen = None
+        self.cb = None
+        self.pool.append(self)
+        if last is None and take is not None:
+            self.sim.call_now(cb, None, priority=PRIORITY_URGENT)
+            return
+        cb(last)
+
+    def _fail(self, err: BaseException) -> None:
+        cb = self.cb
+        self.gen = None
+        self.cb = None
+        self.pool.append(self)
+        ev = Event(self.sim, name="legacy-read-error")
+        ev.add_callback(cb)
+        ev.fail(err, priority=PRIORITY_URGENT)
 
 
 @dataclass

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.data.sharding import ShardLayout, ShardManifest
 from repro.framework.cache import TFDataCache
-from repro.framework.io_layer import DataReader
+from repro.framework.io_layer import DataReader, fusion_miss
 from repro.framework.models import ModelProfile
 from repro.framework.resources import ComputeNode
 from repro.simkernel.core import PRIORITY_URGENT, Simulator
@@ -654,27 +654,14 @@ class EpochPipeline:
         cfg = self.config
         sim = self.sim
         fused = not _fused_disabled()
-        cap = getattr(self.reader, "fused_capable", None)
-        fuse_readers = (
-            fused
-            and not self.cache_writing
-            and cap is not None
-            and cap([s.path for s in self.shards])
-        )
-        self.fused_readers = fuse_readers
-        if fused and not fuse_readers and not self.cache_writing:
-            # Capability miss (not a deliberate gate): record why, so a
+        fuse_readers = False
+        if fused and not self.cache_writing:
+            # A capability miss (not a deliberate gate) is recorded, so a
             # protocol regression surfaces in the RunReport meta instead
             # of only as a mysteriously slower run.
-            if cap is None:
-                self.fusion_miss = f"reader:{type(self.reader).__name__}"
-            else:
-                miss = getattr(self.reader, "fused_miss", None)
-                self.fusion_miss = (
-                    miss([s.path for s in self.shards])
-                    if miss is not None
-                    else f"reader:{type(self.reader).__name__}"
-                )
+            self.fusion_miss = fusion_miss(self.reader, [s.path for s in self.shards])
+            fuse_readers = self.fusion_miss is None
+        self.fused_readers = fuse_readers
         procs: list[Any] = []
         if fuse_readers:
             self._readers_left = cfg.cycle_length

@@ -336,7 +336,8 @@ def _tag_fusion_misses(meta: dict[str, Any], result: Any) -> None:
 
     A capability miss — a reader or backend that doesn't speak the
     continuation protocol — used to be invisible: the pipeline silently
-    fell back to generator workers and only a profile would show it.
+    fell back to generator workers (the serving replay to its generator
+    trampoline) and only a profile would show it.
     Emitted only when non-empty (deliberate disengagement — the
     ``REPRO_DISABLE_FUSED_PIPELINE`` gate, cache-writing epochs — is not
     a miss), so existing golden reports stay byte-identical.
@@ -554,6 +555,7 @@ def build_serve_run_report(
         "total_time_s": t_final,
     }
     _tag_policy(meta, telemetry)
+    _tag_fusion_misses(meta, replay)
     steady: dict[str, Any] = {
         "window_s": replay.window_s,
         "warmup_s": replay.warmup_s,

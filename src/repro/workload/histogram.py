@@ -49,22 +49,27 @@ class LatencyHistogram:
         self.max_s = 0.0
 
     # -- accumulation -----------------------------------------------------
-    def _index(self, value: float) -> int:
-        """Bucket index of one sample; out-of-range clamps to the edges."""
-        if value <= self.lo:
-            return 0
-        idx = int(math.log10(value / self.lo) * self.bins_per_decade)
-        return min(idx, self.n_buckets - 1)
-
     def add(self, value: float) -> None:
         """Record one latency sample (seconds; negatives are clamped to 0)."""
-        value = max(0.0, float(value))
-        idx = self._index(value)
-        self.buckets[idx] = self.buckets.get(idx, 0) + 1
+        # One call per served request, so the bucket index and the
+        # extremes are plain comparisons rather than helper calls.
+        value = float(value)
+        if not value > 0.0:  # negatives, -0.0 and NaN all record as 0
+            value = 0.0
+        if value <= self.lo:
+            idx = 0
+        else:
+            idx = int(math.log10(value / self.lo) * self.bins_per_decade)
+            if idx >= self.n_buckets:
+                idx = self.n_buckets - 1
+        buckets = self.buckets
+        buckets[idx] = buckets.get(idx, 0) + 1
         self.count += 1
         self.sum_s += value
-        self.min_s = min(self.min_s, value)
-        self.max_s = max(self.max_s, value)
+        if value < self.min_s:
+            self.min_s = value
+        if value > self.max_s:
+            self.max_s = value
 
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold another histogram (same grid) into this one."""
@@ -123,8 +128,12 @@ class LatencyHistogram:
 
     # -- serialization ----------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON form; bucket keys sorted for determinism."""
-        return {
+        """Plain-JSON form; bucket keys sorted for determinism.
+
+        ``decades`` is emitted only for a non-default grid, so reports of
+        default histograms keep their established byte-exact form.
+        """
+        out: dict[str, Any] = {
             "bins_per_decade": self.bins_per_decade,
             "lo": self.lo,
             "count": self.count,
@@ -133,11 +142,19 @@ class LatencyHistogram:
             "max_s": self.max_s,
             "buckets": {str(i): self.buckets[i] for i in sorted(self.buckets)},
         }
+        decades = self.n_buckets // self.bins_per_decade
+        if decades != _DECADES:
+            out["decades"] = decades
+        return out
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "LatencyHistogram":
         """Inverse of :meth:`to_dict`."""
-        h = cls(bins_per_decade=int(raw["bins_per_decade"]))
+        h = cls(
+            bins_per_decade=int(raw["bins_per_decade"]),
+            lo=float(raw["lo"]),
+            decades=int(raw.get("decades", _DECADES)),
+        )
         h.buckets = {int(i): int(n) for i, n in raw["buckets"].items()}
         h.count = int(raw["count"])
         h.sum_s = float(raw["sum_s"])

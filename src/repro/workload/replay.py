@@ -2,9 +2,19 @@
 
 :class:`ReplayDriver` is the serving-side counterpart of the epoch
 trainer: a master dispatcher process releases requests at their trace
-arrival times, each request runs as its own simulated process (open once
+arrival times, each request runs as a chain of continuations (open once
 per file — a server-side FD cache — then positional read), and a
 :class:`WindowClock` partitions the run into fixed steady-state windows.
+
+A request is not a simulated process, but it occupies exactly the
+dispatch slots one would: its first continuation sits where the
+process's start event would, its reads go through the reader's
+``open_begin``/``pread_begin`` protocol (or, for readers without it,
+through the shared generator trampoline
+:class:`~repro.framework.io_layer._LegacyDrive`), and its exit
+continuation sits where the process's own success event would.  Runs
+are therefore slot-for-slot identical to one-process-per-request
+replay, at a fraction of the host cost.
 
 Window closing is **explicit**: the dispatcher wakes at every window
 edge — between arrivals and while draining stragglers — and closes
@@ -26,6 +36,8 @@ from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.framework.io_layer import _LegacyDrive, fusion_miss
+from repro.simkernel.core import PRIORITY_URGENT
 from repro.workload.histogram import LatencyHistogram
 from repro.workload.trace import Trace, TraceRequest
 
@@ -100,6 +112,9 @@ class ReplayResult:
     #: middleware hit rate over the whole replay / over warm windows only
     hit_rate: float = 0.0
     warm_hit_rate: float = 0.0
+    #: why a reader had to replay its reads through the generator
+    #: trampoline for the whole run (``fused_miss`` reason -> readers)
+    fusion_misses: dict[str, int] = field(default_factory=dict)
 
     @property
     def duration_s(self) -> float:
@@ -153,10 +168,19 @@ class ReplayDriver:
         self._paths: dict[str, list[str]] = {"": paths}
         if job_paths:
             self._paths.update(job_paths)
-        self._readers: dict[str, Any] = {"": reader}
+        self._readers: dict[str, Any] = {}
+        #: per job: whether its reader speaks ``open_begin``/``pread_begin``
+        self._fused: dict[str, bool] = {}
         self._gates: dict[str, Any] = {}
         self._open: dict[tuple[str, int], Any] = {}
+        self._drive_pool: list[_LegacyDrive] = []
         self.result = ReplayResult(n_requests=trace.n_reads)
+        self._register("", reader)
+        # in-flight requests and job boots, and the drain event they fire
+        self._in_flight = 0
+        self._launched = False
+        self._drained: Any = None
+        self._error: BaseException | None = None
         # live window accumulators
         self._clock: WindowClock | None = None
         self._warm_start = 0.0
@@ -240,31 +264,88 @@ class ReplayDriver:
         self._cur_completed += 1
         self._cur_lat_sum += latency
 
-    # -- per-request process ----------------------------------------------
-    def _request(self, req: TraceRequest, due: float) -> Generator[Any, Any, None]:
-        gate = self._gates.get(req.job)
-        if gate is not None and not gate.processed:
-            yield gate
-        reader = self._readers[req.job]
+    # -- per-request continuations ----------------------------------------
+    def _register(self, job: str, reader: Any) -> None:
+        """Bind ``job``'s reader; note if it cannot serve continuation-style."""
+        self._readers[job] = reader
+        miss = fusion_miss(reader, self._paths[job])
+        self._fused[job] = miss is None
+        if miss is not None:
+            misses = self.result.fusion_misses
+            misses[miss] = misses.get(miss, 0) + 1
+
+    def _begin(self, fl: "_Flight") -> None:
+        """A request's first slot: wait on its job gate, else open through
+        the FD cache and read; completion calls ``fl``."""
+        req = fl.req
+        job = req.job
+        gate = self._gates.get(job)
+        if gate is not None and not gate._processed:
+            gate.add_callback(fl.gated)
+            return
+        reader = self._readers[job]
+        try:
+            if not self._fused[job]:
+                pool = self._drive_pool
+                drive = pool.pop() if pool else _LegacyDrive(self.sim, pool)
+                drive.start(self._generator_read(reader, req), fl)
+                return
+            key = (job, req.file_index)
+            f = self._open.get(key)
+            if f is None:
+                f = reader.open_begin(self._paths[job][req.file_index], fl.opened)
+                if not reader.open_is_sync:
+                    # the FD cache takes the file once its open completes
+                    fl.f = f
+                    return
+                self._open[key] = f
+            reader.pread_begin(f, req.offset, req.nbytes, fl)
+        except BaseException as err:  # noqa: BLE001 - routed like a dead proc
+            self.sim.call_now(self._exit, err, PRIORITY_URGENT)
+
+    def _generator_read(self, reader: Any, req: TraceRequest) -> Generator[Any, Any, None]:
+        """:meth:`_begin`'s open and read, for readers without the
+        ``*_begin`` protocol."""
         key = (req.job, req.file_index)
         f = self._open.get(key)
         if f is None:
             f = yield from reader.open(self._paths[req.job][req.file_index])
             self._open[key] = f
         yield from reader.pread(f, req.offset, req.nbytes)
-        self._note_completion(due)
 
-    def _start_job(self, req: TraceRequest):
+    def _exit(self, err: BaseException | None) -> None:
+        """A request (or job boot) finished, in its process-exit slot.
+
+        The last one out fires the drain event; the first failure fails
+        it — ``all_of`` semantics over the in-flight set.  A failure
+        before the drain begins is held until then.
+        """
+        self._in_flight -= 1
+        drained = self._drained
+        if drained is None:
+            if err is not None and self._error is None:
+                self._error = err
+        elif not drained._triggered:
+            if err is not None:
+                drained.fail(err)
+            elif self._in_flight == 0:
+                drained.succeed()
+
+    def _start_job(self, req: TraceRequest) -> None:
         """Spawn a job's timed setup; its gate releases queued reads."""
         gate = self._gates[req.job]
 
         def boot() -> Generator[Any, Any, None]:
             assert self.job_setup is not None
             reader = yield from self.job_setup(req.job, req.share or 1.0)
-            self._readers[req.job] = reader
+            self._register(req.job, reader)
             gate.succeed()
 
-        return self.sim.spawn(boot(), name=f"job-start:{req.job}")
+        proc = self.sim.spawn(boot(), name=f"job-start:{req.job}")
+        proc.add_callback(self._boot_done)
+
+    def _boot_done(self, proc: Any) -> None:
+        self._exit(proc._exc)
 
     # -- the dispatcher ----------------------------------------------------
     def run(self) -> Generator[Any, Any, ReplayResult]:
@@ -288,7 +369,8 @@ class ReplayDriver:
         for job in self.trace.jobs():
             self._gates[job] = sim.event()
 
-        procs = []
+        call_now = sim.call_now
+        begin = self._begin
         for req in self.trace.requests:
             due = t0 + req.t
             # wake at (and close) every window edge before this arrival
@@ -298,22 +380,32 @@ class ReplayDriver:
                     yield sim.timeout(edge - sim.now)
                 self._close(clock.close())
             if due > sim.now:
-                yield sim.timeout(due - sim.now)
-            if req.kind == "job_start":
+                ev = sim._pooled_timeout(due - sim.now)
+                yield ev
+                sim._recycle(ev)
+            if req.kind == "read":
+                self._in_flight += 1
+                call_now(begin, _Flight(self, req, due), PRIORITY_URGENT)
+            elif req.kind == "job_start":
                 if self.job_setup is None:
-                    self._readers[req.job] = self._readers[""]
                     self._paths.setdefault(req.job, self._paths[""])
+                    self._readers[req.job] = self._readers[""]
+                    self._fused[req.job] = self._fused[""]
                     self._gates[req.job].succeed()
-                else:
-                    procs.append(self._start_job(req))
-            elif req.kind == "read":
-                procs.append(sim.spawn(self._request(req, due),
-                                       name=f"req-{len(procs)}"))
-            # job_end is a trace bookkeeping marker; nothing to do
+                    continue
+                self._in_flight += 1
+                self._start_job(req)
+            else:
+                continue  # job_end is a trace bookkeeping marker
+            self._launched = True
 
         # drain in-flight requests, still closing windows edge by edge
-        if procs:
-            done = sim.all_of(procs)
+        if self._launched:
+            if self._error is not None:
+                raise self._error
+            self._drained = done = sim.event()
+            if self._in_flight == 0:
+                done.succeed()
             while not done.triggered:
                 yield sim.any_of([done, sim.timeout(clock.next_edge() - sim.now)])
                 while clock.next_edge() <= sim.now + _EDGE_EPS:
@@ -345,3 +437,42 @@ class ReplayDriver:
         if reads == 0:
             return 0.0
         return 1.0 - pfs / reads
+
+
+class _Flight:
+    """One in-flight request: the continuation state of its would-be process.
+
+    Called as the read's completion callback; :meth:`opened` continues a
+    timed open, :meth:`gated` a read queued behind its job's setup.  Only
+    the generator trampoline delivers failed events (continuation-capable
+    backends complete on timed holds, which cannot fail), and it delivers
+    them in the slot the dying process's fail event would occupy — so a
+    failure exits at once.
+    """
+
+    __slots__ = ("driver", "req", "due", "f")
+
+    def __init__(self, driver: ReplayDriver, req: TraceRequest, due: float) -> None:
+        self.driver = driver
+        self.req = req
+        self.due = due
+        self.f: Any = None
+
+    def gated(self, _ev: Any) -> None:
+        self.driver._begin(self)
+
+    def opened(self, ev: Any) -> None:
+        driver = self.driver
+        if ev._exc is not None:
+            driver._exit(ev._exc)
+            return
+        driver._open[(self.req.job, self.req.file_index)] = self.f
+        driver._begin(self)  # the FD cache now holds the file: read it
+
+    def __call__(self, ev: Any) -> None:
+        driver = self.driver
+        if ev is not None and ev._exc is not None:
+            driver._exit(ev._exc)
+            return
+        driver._note_completion(self.due)
+        driver.sim.call_now(driver._exit, None, PRIORITY_URGENT)

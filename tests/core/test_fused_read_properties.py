@@ -2,7 +2,7 @@
 
 The fused continuation protocol on ``MonarchReader`` inlines resident
 fast-tier hits and replays everything else through the legacy generator
-(:class:`repro.core.middleware._LegacyDrive`).  These properties attack
+(:class:`repro.framework.io_layer._LegacyDrive`).  These properties attack
 the equivalence where the routing is hardest: randomized fault plans
 (tier outages with and without recovery, transient read/write fault
 windows on any mount — driving quarantine, re-admission, fallback

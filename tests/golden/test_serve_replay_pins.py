@@ -32,9 +32,11 @@ from typing import Any
 
 import pytest
 
+from repro.core.middleware import MonarchReader
 from repro.data.imagenet import IMAGENET_100G
 from repro.experiments.calibration import DEFAULT_CALIBRATION
 from repro.experiments.scenarios import build_run, ssd_tier_down_plan
+from repro.framework.io_layer import PosixReader
 from repro.workload.spec import WORKLOADS
 
 pytestmark = pytest.mark.serve
@@ -95,11 +97,10 @@ def _pin(name: str) -> dict[str, Any]:
     }
 
 
-@pytest.mark.parametrize("name", sorted(PINS))
-def test_replay_matches_pinned_outcome(name):
+def _check_against_pin(name: str, update: bool = False) -> None:
     path = GOLDEN_DIR / f"replay_{name}.json"
     text = json.dumps(_pin(name), indent=2, sort_keys=True) + "\n"
-    if os.environ.get("REPRO_UPDATE_GOLDEN"):
+    if update:
         path.write_text(text)
     if not path.exists():
         pytest.fail(
@@ -113,3 +114,23 @@ def test_replay_matches_pinned_outcome(name):
             f"{path.name}: section {section!r} drifted from the pinned run"
         )
     assert path.read_text() == text
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_replay_matches_pinned_outcome(name):
+    _check_against_pin(name, update=bool(os.environ.get("REPRO_UPDATE_GOLDEN")))
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_generator_reads_match_pinned_outcome(name, monkeypatch):
+    """The trampoline path reproduces each pin, dispatch slots included.
+
+    Every reader is made to decline the continuation protocol, so the
+    replay drives the readers' generator ``open``/``pread`` through the
+    trampoline, as it does for readers without the protocol; the outcome
+    must not depend on which path served a request.
+    """
+    monkeypatch.setattr(MonarchReader, "fused_capable", lambda self, paths: False)
+    for cls in (MonarchReader, PosixReader):
+        monkeypatch.setattr(cls, "fused_miss", lambda self, paths: "forced")
+    _check_against_pin(name)

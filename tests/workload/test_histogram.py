@@ -122,3 +122,22 @@ def test_dict_round_trip():
     assert h2.p50 == h.p50
     assert h2.p999 == h.p999
     assert h2.to_dict() == h.to_dict()
+
+
+def test_dict_round_trip_keeps_custom_grid():
+    """A non-default ``lo``/``decades`` grid survives serialization.
+
+    Regression: ``from_dict`` used to rebuild on the default grid, so ten
+    10 ms samples on a 1 ms floor came back with p50 = 1.05e-5 s.
+    """
+    h = LatencyHistogram(lo=1e-3, decades=4)
+    for _ in range(10):
+        h.add(0.01)
+    raw = h.to_dict()
+    assert raw["decades"] == 4
+    h2 = LatencyHistogram.from_dict(raw)
+    assert (h2.lo, h2.n_buckets) == (h.lo, h.n_buckets)
+    assert h2.p50 == h.p50 == pytest.approx(0.01, rel=0.1)
+    assert h2.to_dict() == raw
+    # the default grid serializes without the key (report bytes unchanged)
+    assert "decades" not in LatencyHistogram().to_dict()

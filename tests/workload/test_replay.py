@@ -122,6 +122,18 @@ def test_exact_boundary_run_has_no_empty_final_window():
         assert w["t_end"] > w["t_start"]
 
 
+@pytest.mark.parametrize("delay_s, slots", [(0.0, 36), (0.3, 47)])
+def test_generator_reader_keeps_one_process_per_request_slots(delay_s, slots):
+    """Requests occupy the dispatch slots a process per request did.
+
+    ``slots`` are the counts of replaying each request as its own
+    process; a zero-yield read must complete in its start slot.
+    """
+    _, reader = run_replay(uniform_trace(11, 1.0), windows=5,
+                           reader_kwargs={"delay_s": delay_s})
+    assert reader.sim.events_processed == slots
+
+
 def test_straggler_tail_gets_a_partial_window():
     """Slow reads past the horizon close extra windows, then a tail."""
     result, _ = run_replay(

@@ -5,11 +5,14 @@ Runs the same contended cells as ``benchmarks/test_kernel_speed.py``
 the first stop when events/sec regresses.  ``--setup`` picks the cell:
 ``vanilla-lustre`` (the historical probe), ``monarch`` (the middleware
 fused-read path that dominates figure grids) or ``monarch-p2p`` (the
-peer-cache cluster cell, run distributed on 3 nodes).  Usage::
+peer-cache cluster cell, run distributed on 3 nodes).  ``--workload``
+profiles a trace-replay serving cell instead of training (on ``monarch``
+unless ``--setup`` says otherwise).  Usage::
 
     make profile-kernel                          # vanilla, 1/128, top 20
     python tools/profile_kernel.py --setup monarch --scale 1/64 --top 30
     python tools/profile_kernel.py --setup monarch-p2p
+    python tools/profile_kernel.py --workload serve-zipf --sort tottime
 """
 
 from __future__ import annotations
@@ -25,17 +28,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.data.imagenet import IMAGENET_100G  # noqa: E402
 from repro.experiments.calibration import DEFAULT_CALIBRATION  # noqa: E402
-from repro.experiments.scenarios import build_run  # noqa: E402
+from repro.experiments.scenarios import SERVE_SETUPS, build_run  # noqa: E402
+from repro.workload.spec import WORKLOADS  # noqa: E402
 
 #: nodes for the distributed (monarch-p2p) probe
 P2P_NODES = 3
 
 
-def _single_probe(setup: str, scale: float):
-    """(execute thunk, sim) for a single-node cell."""
+def _single_probe(setup: str, scale: float, workload: str | None = None):
+    """(execute thunk, sim) for a single-node cell (serving if ``workload``)."""
     handle = build_run(
         setup, "resnet50", IMAGENET_100G, DEFAULT_CALIBRATION,
         scale=scale, seed=0,
+        workload=WORKLOADS[workload] if workload is not None else None,
     )
     return handle.execute, handle.sim
 
@@ -74,9 +79,12 @@ def _p2p_probe(scale: float):
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--setup", default="vanilla-lustre",
+    parser.add_argument("--setup", default=None,
                         choices=("vanilla-lustre", "monarch", "monarch-p2p"),
-                        help="probe cell to profile (default vanilla-lustre)")
+                        help="probe cell to profile (default vanilla-lustre, "
+                             "or monarch with --workload)")
+    parser.add_argument("--workload", default=None, choices=sorted(WORKLOADS),
+                        help="profile this trace-replay serving workload")
     parser.add_argument("--scale", default="1/128",
                         help="simulation scale (fraction, default 1/128)")
     parser.add_argument("--top", type=int, default=20,
@@ -86,13 +94,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="pstats sort key (default cumulative)")
     args = parser.parse_args(argv)
     scale = float(Fraction(args.scale))
+    setup = args.setup or ("monarch" if args.workload else "vanilla-lustre")
+    if args.workload and setup not in SERVE_SETUPS:
+        parser.error(f"--workload needs a serving setup, one of {SERVE_SETUPS}")
 
-    if args.setup == "monarch-p2p":
+    if setup == "monarch-p2p":
         execute, sim = _p2p_probe(scale)
         label = f"monarch-p2p/resnet50 x{P2P_NODES}"
     else:
-        execute, sim = _single_probe(args.setup, scale)
-        label = f"{args.setup}/resnet50"
+        execute, sim = _single_probe(setup, scale, args.workload)
+        label = f"{setup}/{args.workload or 'resnet50'}"
     profiler = cProfile.Profile()
     profiler.enable()
     execute()
