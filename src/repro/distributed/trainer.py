@@ -62,9 +62,8 @@ class DistributedResult:
     policy: str = "static"
     epochs: list[EpochStats] = field(default_factory=list)
     init_time_s: float = 0.0
-    #: why fused reader FSMs could not engage, per reason -> pipe count
-    #: across all nodes and epochs; empty when fusion ran (or was off by
-    #: design: env gate, cache-writing epoch)
+    #: why a pipeline's reads were trampolined, per reason -> pipe count
+    #: across all nodes and epochs; empty when none was
     fusion_misses: dict[str, int] = field(default_factory=dict)
 
     @property

@@ -72,15 +72,16 @@ def fusion_miss(reader: Any, paths: list[str]) -> str | None:
 class _LegacyDrive:
     """Drives one read generator continuation-style.
 
-    The trampoline that makes any generator-only read continuation-capable:
+    The trampoline that makes any generator-only read continuation-capable
+    (pipeline readers, MONARCH's non-inlined reads, the serving replay):
     it stands in for the ``Process`` that would otherwise run ``gen``,
     resuming the generator from event callbacks in exactly the slots
     ``Process._resume`` would (including the immediate-resume fast path
-    for already-processed events), so a caller that swaps a per-read
-    process for this object dispatches every timed op and RNG draw
-    identically.  A generator exception is delivered to ``cb`` as an
-    urgent failed event — the slot a dying process's fail event would
-    occupy.  Instances return themselves to ``pool`` when done.
+    for already-processed events), so a caller that swaps a process for
+    this object dispatches every timed op and RNG draw identically.  A
+    generator exception is delivered to ``cb`` as an urgent failed event
+    — the slot a dying process's fail event would occupy.  Instances
+    return themselves to ``pool`` when done.
 
     ``take`` is the transfer size the caller already promised its own
     caller synchronously (the ``pread_begin`` contract).  With a promise
@@ -178,7 +179,7 @@ class DataReader:
     """Interface the input pipeline reads training data through."""
 
     #: readers whose fused ``open_begin`` completes with no timed
-    #: operation set this True; the fused reader FSM then chains straight
+    #: operation set this True; the pipeline's reader then chains straight
     #: into the first read in the caller's dispatch slot — exactly what a
     #: zero-yield generator ``open`` does
     open_is_sync = False
@@ -218,13 +219,14 @@ class PosixReader(DataReader):
     def fused_capable(self, paths: list[str]) -> bool:
         """True when every path's backend supports the ``*_begin`` calls.
 
-        The fused reader state machine (see ``framework.pipeline``) only
-        engages when the whole epoch can run continuation-style; a single
-        unsupported backend (e.g. a fault-injecting wrapper) falls the
-        pipeline back to the generator workers wholesale, so RNG draw
-        order never depends on which shard hit which path.  Capability is
-        a *class* property (:func:`continuation_capable`) — a delegating
-        wrapper must implement the protocol itself to count.
+        The pipeline's readers (see ``framework.pipeline``) use the
+        ``*_begin`` calls only when the whole epoch can run
+        continuation-style; with a single unsupported backend (e.g. a
+        fault-injecting wrapper) the epoch's reads run through the
+        trampoline wholesale, so RNG draw order never depends on which
+        shard hit which path.  Capability is a *class* property
+        (:func:`continuation_capable`) — a delegating wrapper must
+        implement the protocol itself to count.
         """
         return self.fused_miss(paths) is None
 

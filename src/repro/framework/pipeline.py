@@ -18,6 +18,13 @@ Stage buffers are bounded :class:`~repro.simkernel.resources.Store`\\ s, so
 backpressure propagates exactly as in a real pipeline: a stalled GPU fills
 prefetch, which stalls the mappers, and finally the readers.
 
+Readers and mappers are callback state machines (:class:`_FusedReader`,
+:class:`_FusedMapper`) rather than simulated processes: each continuation
+runs in the dispatch slot a worker process would have resumed in.  A
+reader without the ``open_begin``/``pread_begin`` continuation protocol
+still plugs in unchanged — its generator ``open`` and ``pread`` run
+through the :class:`~repro.framework.io_layer._LegacyDrive` trampoline.
+
 Fidelity note: the shuffle buffer bounds and delays the record stream but
 does not physically reorder it — record *identity* has no timing effect in
 the simulation, only counts and sizes do.
@@ -25,7 +32,6 @@ the simulation, only counts and sizes do.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Generator
 from dataclasses import dataclass, field, replace
 from heapq import heappush
@@ -35,7 +41,7 @@ import numpy as np
 
 from repro.data.sharding import ShardLayout, ShardManifest
 from repro.framework.cache import TFDataCache
-from repro.framework.io_layer import DataReader, fusion_miss
+from repro.framework.io_layer import DataReader, _LegacyDrive, fusion_miss
 from repro.framework.models import ModelProfile
 from repro.framework.resources import ComputeNode
 from repro.simkernel.core import PRIORITY_URGENT, Simulator
@@ -47,22 +53,8 @@ __all__ = ["EpochPipeline", "PipelineConfig", "RecordRef", "ShardInfo", "shards_
 #: sentinel flowing through the stage stores to signal end-of-stream
 _SENTINEL = object()
 
-#: max records a map worker claims per combined CPU hold (see _map_worker)
+#: max records a map worker claims per combined CPU hold (see _FusedMapper)
 _PREPROCESS_RUN = 4
-
-
-def _fused_disabled() -> bool:
-    """``REPRO_DISABLE_FUSED_PIPELINE=1`` forces the generator workers.
-
-    The escape hatch mirrors ``REPRO_DISABLE_BULK_IO``: the fused
-    callback state machines below are asserted bit-identical to the
-    generator stages, and this flag is how that assertion is checked.
-    """
-    return os.environ.get("REPRO_DISABLE_FUSED_PIPELINE", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-    )
 
 
 @dataclass(frozen=True)
@@ -143,19 +135,21 @@ def _shard_info(layout: ShardLayout, path: str) -> ShardInfo:
 
 
 class _FusedReader:
-    """Callback state machine replacing one ``_reader_worker`` generator.
+    """Callback state machine for one interleave reader.
 
-    Each continuation runs in the exact dispatch slot where the generator
-    form would have resumed, and every timing/RNG side effect (service-time
-    computation, jitter draw, queue entry) happens through the backend's
-    ``*_begin`` calls in the same slot the generator would have made it —
-    which is what keeps fused-on and fused-off runs bit-identical.  Only
-    engaged when the reader declares the whole epoch continuation-capable
-    (see ``PosixReader.fused_capable``; the MONARCH readers are always
-    capable and route per read); anything else — fault-injection
-    wrappers, cache-writing epochs — falls the whole pipeline back to the
-    generator workers so the shared jitter stream's draw order never
-    depends on per-shard routing.
+    Each continuation runs in the exact dispatch slot where a reader
+    process would have resumed, and every timing/RNG side effect
+    (service-time computation, jitter draw, queue entry) happens in the
+    slot such a process would have made it.  When the reader declares
+    the whole epoch continuation-capable (see ``PosixReader.fused_capable``;
+    the MONARCH readers are always capable and route per read), opens
+    and reads go through the backend's ``*_begin`` calls.  Otherwise — a
+    generator-only reader, a fault-injection wrapper, a cache-writing
+    epoch — every open, and every chunk (``pread``, then the cache write
+    while cache-writing), runs a small generator through the
+    :class:`~repro.framework.io_layer._LegacyDrive` trampoline, for the
+    whole epoch, so the shared jitter stream's draw order never depends
+    on per-shard routing.
     """
 
     __slots__ = (
@@ -173,16 +167,19 @@ class _FusedReader:
         "_ends",
         "_refs",
         "_sync_open",
+        "_trampolined",
+        "_sync",
     )
 
-    def __init__(self, pipe: "EpochPipeline") -> None:
+    def __init__(self, pipe: "EpochPipeline", trampolined: bool) -> None:
         self.pipe = pipe
         self.alive = True
         self._shard: ShardInfo | None = None
         self._file: Any = None
         self._pos = 0
         self._emitted = 0
-        self._take = 0
+        #: bytes of the last completed (or in-flight) read, not yet emitted
+        self._take: int | None = None
         self._pread: Any = None
         self._fh: Any = None
         self._chunk = pipe.config.read_chunk
@@ -190,24 +187,95 @@ class _FusedReader:
         self._ends: list[int] = []
         self._refs: list[RecordRef] = []
         self._sync_open = getattr(pipe.reader, "open_is_sync", False)
+        self._trampolined = trampolined
+        #: a trampolined op is inside ``_LegacyDrive.start`` (see _drive)
+        self._sync = False
 
-    def _start(self, _arg: Any) -> None:
-        self._next_shard()
+    def _step(self, ev: Any = None) -> None:
+        """Emit the records the last read completed, then issue the next
+        op: open the next shard, or read a chunk.
 
-    def _next_shard(self) -> None:
+        The completion callback of every op — an open, a read, a blocked
+        record put — and, with ``ev=None``, the reader's kickoff.  Returns
+        once an op is in flight or the shard queue is exhausted.  Ops that
+        complete in this slot — a namespace-resolved open, a trampolined
+        generator that never suspends — continue the loop instead of
+        recursing, so a reader whose reads all complete synchronously
+        runs at constant depth.
+        """
+        if not self.alive:
+            return
+        if ev is not None and ev._exc is not None:
+            # A read died (retry exhaustion, tenancy violation, injected
+            # fault): route it exactly like a dead reader process — same
+            # slot the process-fail event would occupy.
+            self._fail(ev._exc)
+            return
+        while True:
+            n = self._take
+            if n:
+                # Account the completed read and emit every record whose
+                # frame it completes, as one group: under backpressure the
+                # reader is woken once per chunk instead of once per record.
+                self._take = None
+                pos = self._pos + n
+                self._pos = pos
+                ends = self._ends
+                n_records = len(ends)
+                emitted = start = self._emitted
+                while emitted < n_records and ends[emitted] <= pos:
+                    emitted += 1
+                if emitted > start:
+                    self._emitted = emitted
+                    store = self._store
+                    # Non-blocking bulk put straight off the per-shard ref
+                    # table — the common all-fit case never slices.
+                    k = start
+                    if not store._putters:
+                        buf = store._items
+                        cap = store.capacity
+                        refs = self._refs
+                        while k < emitted and (cap is None or len(buf) < cap):
+                            buf.append(refs[k])
+                            k += 1
+                        if k > start and store._getters:
+                            store._drain()
+                    if k < emitted:
+                        store.put_many(self._refs[k:emitted]).add_callback(self._step)
+                        return
+            elif n == 0:
+                # a short read: the shard ended early
+                self._take = None
+                self._close()
+            if self._file is None and not self._open_next():
+                return
+            if self._pos >= self._shard.size:
+                self._close()
+                continue
+            if self._trampolined:
+                if not self._drive(self._chunk_gen()):
+                    return
+                continue
+            try:
+                self._take = self._pread(self._fh, self._pos, self._chunk, self._step)
+            except BaseException as err:  # noqa: BLE001 - routed like a dead proc
+                self._fail(err)
+            return
+
+    def _open_next(self) -> bool:
+        """Open the next shard; True when it opened in this slot."""
         pipe = self.pipe
         if not pipe._shard_queue:
             self.alive = False
             pipe._reader_done()
-            return
+            return False
         shard = pipe.shards[pipe._shard_queue.pop(0)]
         self._shard = shard
         self._pos = 0
         self._emitted = 0
         # Per-shard emission tables, built once and reused across epochs
         # (ShardInfo is frozen but not slotted; the cache is pure
-        # precomputation — frame-end offsets and the immutable RecordRefs
-        # the generator reader would construct per epoch).
+        # precomputation — frame-end offsets and the immutable RecordRefs).
         cache = shard.__dict__.get("_emit_cache")
         if cache is None:
             records = shard.records
@@ -217,84 +285,62 @@ class _FusedReader:
             )
             object.__setattr__(shard, "_emit_cache", cache)
         self._ends, self._refs = cache
+        if self._trampolined:
+            return self._drive(self._open_gen(shard.path))
         try:
-            self._file = pipe.reader.open_begin(shard.path, self._opened)
+            self._file = pipe.reader.open_begin(shard.path, self._step)
             self._pread, self._fh = pipe.reader.pread_begin_bound(self._file)
         except BaseException as err:  # noqa: BLE001 - routed like a dead proc
-            self.alive = False
-            pipe._fsm_error(err)
-            return
-        if self._sync_open:
-            # Namespace-resolved open with no timed op (``open_is_sync``):
-            # issue the first read in this slot, where the generator
-            # form's zero-yield ``open`` would have continued.
-            self._read_chunk()
+            self._fail(err)
+            return False
+        # A namespace-resolved open (``open_is_sync``) has no timed op:
+        # the first read is issued in this slot.
+        return self._sync_open
 
-    def _opened(self, _ev: Any) -> None:
-        if self.alive:
-            self._read_chunk()
+    def _close(self) -> None:
+        self.pipe.reader.close(self._file)
+        self._file = None
 
-    def _read_chunk(self) -> None:
-        if self._pos >= self._shard.size:
-            self.pipe.reader.close(self._file)
-            self._next_shard()
-            return
-        try:
-            self._take = self._pread(self._fh, self._pos, self._chunk, self._chunk_done)
-        except BaseException as err:  # noqa: BLE001 - routed like a dead proc
-            self.alive = False
-            self.pipe._fsm_error(err)
+    def _fail(self, err: BaseException) -> None:
+        self.alive = False
+        self.pipe._fsm_error(err)
 
-    def _chunk_done(self, ev: Any) -> None:
-        if not self.alive:
-            return
-        if ev is not None and ev._exc is not None:
-            # A continuation-driven legacy read died (retry exhaustion,
-            # tenancy violation): route it exactly like a dead reader
-            # process — same slot the process-fail event would occupy.
-            self.alive = False
-            self.pipe._fsm_error(ev._exc)
-            return
-        n = self._take
-        if n == 0:
-            self.pipe.reader.close(self._file)
-            self._next_shard()
-            return
-        pos = self._pos + n
-        self._pos = pos
-        ends = self._ends
-        n_records = len(ends)
-        emitted = self._emitted
-        start = emitted
-        while emitted < n_records and ends[emitted] <= pos:
-            emitted += 1
-        if emitted > start:
-            self._emitted = emitted
-            store = self._store
-            # try_put_many inlined straight off the per-shard ref table —
-            # the common all-fit case never materialises a slice.
-            k = start
-            if not store._putters:
-                buf = store._items
-                cap = store.capacity
-                refs = self._refs
-                while k < emitted and (cap is None or len(buf) < cap):
-                    buf.append(refs[k])
-                    k += 1
-                if k > start and store._getters:
-                    store._drain()
-            if k < emitted:
-                store.put_many(self._refs[k:emitted]).add_callback(self._chunk_put_done)
-                return
-        self._read_chunk()
+    # -- trampolined ops (readers without the continuation protocol) ------
+    def _drive(self, gen: Generator[Any, Any, None]) -> bool:
+        """Run ``gen`` on the trampoline; True when it finished in this call.
 
-    def _chunk_put_done(self, _ev: Any) -> None:
-        if self.alive:
-            self._read_chunk()
+        A generator that never suspends completes inside ``start``; its
+        completion is then left to the caller's loop (see :meth:`_step`)
+        instead of re-entering it.  Failures always arrive later, as an
+        urgent failed event.
+        """
+        pool = self.pipe._drives
+        drive = pool.pop() if pool else _LegacyDrive(self.pipe.sim, pool)
+        self._sync = True
+        drive.start(gen, self._drive_done)
+        finished = not self._sync
+        self._sync = False
+        return finished
+
+    def _drive_done(self, ev: Any) -> None:
+        if self._sync:
+            self._sync = False
+        else:
+            self._step(ev)
+
+    def _open_gen(self, path: str) -> Generator[Any, Any, None]:
+        self._file = yield from self.pipe.reader.open(path)
+
+    def _chunk_gen(self) -> Generator[Any, Any, None]:
+        pipe = self.pipe
+        n = yield from pipe.reader.pread(self._file, self._pos, self._chunk)
+        if n and pipe.cache_writing:
+            yield from pipe.cache.write_chunk(self._shard.path, n)
+        self._take = n
 
 
 class _FusedMapper:
-    """Callback state machine replacing one ``_map_worker`` generator.
+    """Callback state machine for one parallel preprocess worker.
 
     A record's whole steady-state hop — store wakeup, run claiming, CPU
     hold, batch emission — executes as scheduled continuations with no
@@ -329,9 +375,6 @@ class _FusedMapper:
         self._emit_from = 0
         self._got_sentinel = False
 
-    def _start(self, _arg: Any) -> None:
-        self._next()
-
     def succeed(self, value: Any = None) -> "_FusedMapper":
         """Store-waiter duck typing: wake via a deferred continuation.
 
@@ -342,7 +385,7 @@ class _FusedMapper:
         self.pipe.sim._normal.append((self._on_record, value))
         return self
 
-    def _next(self) -> None:
+    def _next(self, _arg: Any = None) -> None:
         # try_get inlined: this runs once per record run in the starved
         # regime and the call overhead is measurable.
         store = self.store
@@ -363,15 +406,17 @@ class _FusedMapper:
 
     def _on_record(self, item: Any) -> None:
         if not self.alive:
-            # A wakeup queued before abort() can land after it; drop it
-            # exactly as the generator worker's kill would have.
+            # A wakeup queued before abort() can land after it; drop it.
             return
         if item is _SENTINEL:
             self._finished()
             return
-        # Claim a short run of already-buffered records (same bounded
-        # quantization argument as _map_worker) and hold the core once.
-        # try_get is inlined (pop + drain-if-putters): the claim loop runs
+        # Claim a short run of already-buffered records and hold the core
+        # once for their summed time: back-to-back holds on one core are
+        # indistinguishable from a single combined hold, so this only
+        # quantizes the *emission* instants of the interior records to the
+        # run's end — a shift bounded by the run duration (hence the small
+        # cap), invisible at epoch scale.  try_get is inlined (pop + drain-if-putters): the claim loop runs
         # up to four times per record run and is pure deque traffic.
         pt = self.preprocess_time
         run = [item]
@@ -415,8 +460,7 @@ class _FusedMapper:
             cpu.hold(total).add_callback(self._cpu_done_held)
 
     def _cpu_done_fast(self, _arg: Any) -> None:
-        # Release first (the generator form's finally runs before any code
-        # after the yield-from), even if the pipeline was aborted mid-hold.
+        # Release first, even if the pipeline was aborted mid-hold.
         cpu = self.cpu
         sim = self.pipe.sim
         m = cpu.monitor
@@ -482,8 +526,7 @@ class _FusedMapper:
         pipe = self.pipe
         if not pipe.prefetch.try_put(_SENTINEL):
             # Nothing runs after the sentinel lands, so no callback needed:
-            # the queued put is accepted the instant capacity frees, exactly
-            # when the generator form's final yield would have resumed.
+            # the queued put is accepted the instant capacity frees.
             pipe.prefetch.put(_SENTINEL)
 
 
@@ -510,7 +553,7 @@ class EpochPipeline:
         self.node = node
         self.model = model
         self.cache = cache
-        self.cache_writing = cache_writing
+        self.cache_writing = cache_writing and cache is not None
         # Cache redirection: once ready, read the local cache files instead.
         self.shards = cache.effective_shards(shards) if cache else shards
         order = shuffle_rng.permutation(len(self.shards))
@@ -525,178 +568,50 @@ class EpochPipeline:
         # trip less per record on the hot path.
         self._batch: list[RecordRef] = []
         self._finished_mappers = 0
-        self._procs: list[Any] = []
         self._fsm_readers: list[_FusedReader] = []
         self._fsm_mappers: list[_FusedMapper] = []
         self._readers_left = 0
-        #: set by :meth:`start`: whether the fused reader FSMs engaged
-        self.fused_readers = False
-        #: why fusion *couldn't* engage (capability miss), or None when it
-        #: engaged or was off by design (env gate, cache-writing epoch)
+        #: trampolines shared by the readers (see _FusedReader._drive)
+        self._drives: list[_LegacyDrive] = []
+        #: why the readers could not use the continuation protocol (a
+        #: capability miss: their reads are trampolined), or None
         self.fusion_miss: str | None = None
         self.error: BaseException | None = None
-        # Fires once if any stage process dies; lets next_batch wait on a
-        # single persistent event instead of re-watching every process.
-        self._failed = sim.event(name="pipeline-failed")
-
-    # -- stage processes -------------------------------------------------
-    def _reader_worker(self) -> Generator[Any, Any, None]:
-        cfg = self.config
-        while self._shard_queue:
-            shard = self.shards[self._shard_queue.pop(0)]
-            f = yield from self.reader.open(shard.path)
-            pos = 0
-            emitted = 0
-            while pos < shard.size:
-                n = yield from self.reader.pread(f, pos, cfg.read_chunk)
-                if n == 0:
-                    break
-                if self.cache is not None and self.cache_writing:
-                    yield from self.cache.write_chunk(shard.path, n)
-                pos += n
-                # Emit every record whose frame is now fully buffered,
-                # as one group: under backpressure the producer is woken
-                # once per chunk instead of once per record.
-                recs: list[RecordRef] = []
-                while emitted < shard.n_records:
-                    off, frame, sid, payload = shard.records[emitted]
-                    if off + frame > pos:
-                        break
-                    recs.append(RecordRef(sid, payload))
-                    emitted += 1
-                if recs:
-                    store = self._record_store
-                    k = store.try_put_many(recs)
-                    if k < len(recs):
-                        yield store.put_many(recs[k:])
-            self.reader.close(f)
-
-    def _map_worker(self) -> Generator[Any, Any, None]:
-        records = self._record_store
-        cpu_using = self.node.cpu.using
-        preprocess_time = self.model.preprocess_time
-        batch_size = self.config.batch_size
-        prefetch = self.prefetch
-        recycle = self.sim._recycle
-        run_cap = _PREPROCESS_RUN
-        while True:
-            ok, item = records.try_get()
-            if not ok:
-                # Starved regime: one wakeup per record.  The heap push is
-                # the resume ordering itself and can't go away, but the
-                # event is owned solely by this mapper, so recycle it.
-                ev = records.get_pooled()
-                item = yield ev
-                recycle(ev)
-            if item is _SENTINEL:
-                yield from self._mapper_finished()
-                return
-            # Claim a short run of already-buffered records and hold the
-            # core once for their summed time: back-to-back holds on one
-            # core are indistinguishable from a single combined hold, so
-            # this only quantizes the *emission* instants of the interior
-            # records to the run's end — a shift bounded by the run
-            # duration (hence the small cap), invisible at epoch scale.
-            run = [item]
-            total = preprocess_time(item.payload_len)
-            got_sentinel = False
-            while len(run) < run_cap:
-                ok, nxt = records.try_get()
-                if not ok:
-                    break
-                if nxt is _SENTINEL:
-                    got_sentinel = True  # consumed this worker's sentinel
-                    break
-                run.append(nxt)
-                total += preprocess_time(nxt.payload_len)
-            yield from cpu_using(total)
-            for rec in run:
-                batch = self._batch
-                batch.append(rec)
-                if len(batch) == batch_size:
-                    self._batch = []
-                    if not prefetch.try_put(batch):
-                        yield prefetch.put(batch)
-            if got_sentinel:
-                yield from self._mapper_finished()
-                return
-
-    def _mapper_finished(self) -> Generator[Any, Any, None]:
-        """Last mapper out flushes the partial batch and the sentinel."""
-        self._finished_mappers += 1
-        if self._finished_mappers < self.config.num_map_workers:
-            return
-        if self._batch:
-            batch, self._batch = self._batch, []
-            if not self.prefetch.try_put(batch):
-                yield self.prefetch.put(batch)
-        if not self.prefetch.try_put(_SENTINEL):
-            yield self.prefetch.put(_SENTINEL)
-
-    def _supervisor(self, readers: list[Any]) -> Generator[Any, Any, None]:
-        yield self.sim.all_of(readers)
-        for _ in range(self.config.num_map_workers):
-            yield self._record_store.put(_SENTINEL)
 
     # -- public API --------------------------------------------------------
     def start(self) -> None:
-        """Spawn all stage processes; batches appear in :attr:`prefetch`.
+        """Start every stage; batches appear in :attr:`prefetch`.
 
-        When the fused fast path is enabled (the default; gate with
-        ``REPRO_DISABLE_FUSED_PIPELINE=1``), mappers always run as
-        continuation state machines, and readers do too whenever every
-        shard's backend speaks the ``*_begin`` protocol and the epoch is
-        not also writing the tf.data cache.  The fused kickoffs are
-        scheduled at-now/urgent in the exact positions the legacy
-        ``spawn`` calls would occupy, so both modes dispatch stage
-        startups in the same order.
+        Readers and mappers are continuation state machines, kicked off
+        at-now/urgent in stage order.  Readers use the ``*_begin``
+        protocol when every shard's backend speaks it and the epoch is
+        not also writing the tf.data cache; otherwise they run the
+        reader's generators through the trampoline (see
+        :class:`_FusedReader`).
         """
         cfg = self.config
         sim = self.sim
-        fused = not _fused_disabled()
-        fuse_readers = False
-        if fused and not self.cache_writing:
-            # A capability miss (not a deliberate gate) is recorded, so a
-            # protocol regression surfaces in the RunReport meta instead
-            # of only as a mysteriously slower run.
+        if not self.cache_writing:
+            # A capability miss (not a cache-writing epoch, which is
+            # trampolined by design) is recorded, so a protocol regression
+            # surfaces in the RunReport meta instead of only as a
+            # mysteriously slower run.
             self.fusion_miss = fusion_miss(self.reader, [s.path for s in self.shards])
-            fuse_readers = self.fusion_miss is None
-        self.fused_readers = fuse_readers
-        procs: list[Any] = []
-        if fuse_readers:
-            self._readers_left = cfg.cycle_length
-            self._fsm_readers = [_FusedReader(self) for _ in range(cfg.cycle_length)]
-            for r in self._fsm_readers:
-                sim.call_now(r._start, None, priority=PRIORITY_URGENT)
-        else:
-            readers = [
-                sim.spawn(self._reader_worker(), name=f"reader-{i}")
-                for i in range(cfg.cycle_length)
-            ]
-            procs.extend(readers)
-        if fused:
-            self._fsm_mappers = [_FusedMapper(self) for _ in range(cfg.num_map_workers)]
-            for m in self._fsm_mappers:
-                sim.call_now(m._start, None, priority=PRIORITY_URGENT)
-        else:
-            procs.extend(
-                sim.spawn(self._map_worker(), name=f"mapper-{i}")
-                for i in range(cfg.num_map_workers)
-            )
-        if not fuse_readers:
-            procs.append(sim.spawn(self._supervisor(readers), name="supervisor"))
-        self._procs = procs
-        for p in procs:
-            p.add_callback(self._on_proc_done)
+        trampolined = self.cache_writing or self.fusion_miss is not None
+        self._readers_left = cfg.cycle_length
+        self._fsm_readers = [_FusedReader(self, trampolined) for _ in range(cfg.cycle_length)]
+        for r in self._fsm_readers:
+            sim.call_now(r._step, None, priority=PRIORITY_URGENT)
+        self._fsm_mappers = [_FusedMapper(self) for _ in range(cfg.num_map_workers)]
+        for m in self._fsm_mappers:
+            sim.call_now(m._next, None, priority=PRIORITY_URGENT)
 
     def _reader_done(self) -> None:
-        """Fused-reader completion: last one out feeds mapper sentinels.
+        """Reader completion: the last one out feeds the mapper sentinels.
 
-        Equivalent to the legacy supervisor: it wakes when ``all_of`` the
-        reader processes fire and then puts one sentinel per mapper with
-        blocking puts.  The store's putter queue is FIFO, so queueing all
-        sentinels at once delivers them in the same order and at the same
-        instants as the supervisor's sequential blocking puts.
+        The store's putter queue is FIFO, so queueing all sentinels at
+        once delivers them in the order, and at the instants, that
+        sequential blocking puts would.
         """
         self._readers_left -= 1
         if self._readers_left > 0:
@@ -705,18 +620,13 @@ class EpochPipeline:
         for _ in range(self.config.num_map_workers):
             store.put(_SENTINEL)
 
-    def _on_proc_done(self, ev: Any) -> None:
-        if not ev.ok and self.error is None:
-            self.error = ev.exception
-            # Poison the prefetch buffer so a consumer blocked in
-            # next_batch wakes immediately instead of deadlocking.  The
-            # sentinel jumps the capacity bound on purpose: the pipeline
-            # is dead, nothing else will drain the buffer.
-            self.prefetch._items.append(_SENTINEL)
-            self.prefetch._drain()
-
     def _fsm_error(self, err: BaseException) -> None:
-        """Route a fused-stage failure exactly like a dead stage process."""
+        """Record a stage failure and poison the prefetch buffer.
+
+        The sentinel jumps the capacity bound on purpose, so a consumer
+        blocked in :meth:`next_batch` wakes immediately instead of
+        deadlocking: the pipeline is dead, nothing else will drain it.
+        """
         if self.error is None:
             self.error = err
             self.prefetch._items.append(_SENTINEL)
@@ -725,8 +635,8 @@ class EpochPipeline:
     def next_batch(self) -> Generator[Any, Any, list[RecordRef] | None]:
         """Get the next batch, or ``None`` at end of epoch.
 
-        Re-raises any error that killed a stage process (e.g. cache
-        overflow) instead of deadlocking on an empty prefetch buffer.
+        Re-raises any error that killed a stage (e.g. cache overflow)
+        instead of deadlocking on an empty prefetch buffer.
         """
         if self.error is not None:
             raise self.error
@@ -740,10 +650,8 @@ class EpochPipeline:
         return item
 
     def abort(self) -> None:
-        """Kill all stage processes (used on failure paths)."""
-        for p in self._procs:
-            if p.is_alive:
-                p.kill()
+        """Stop every stage (used on failure paths); completions of ops
+        still in flight are dropped."""
         for r in self._fsm_readers:
             r.alive = False
         for m in self._fsm_mappers:

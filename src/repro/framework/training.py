@@ -47,10 +47,10 @@ class TrainResult:
     epochs: list[EpochResult] = field(default_factory=list)
     init_time_s: float = 0.0  #: setup before epoch 1 (MONARCH metadata init)
     memory_estimate_bytes: int = 0
-    #: why the fused reader FSMs could not engage, per reason -> epoch
-    #: count; empty when fusion ran (or was off by design: env gate,
-    #: cache-writing epoch).  Surfaced in the RunReport meta so a
-    #: capability regression shows in telemetry, not only in a profile.
+    #: why an epoch's reads were trampolined, per reason -> epoch count;
+    #: empty when every epoch used the continuation protocol (or was
+    #: trampolined by design: a cache-writing epoch).  Surfaced in the
+    #: RunReport meta so a capability regression shows in telemetry.
     fusion_misses: dict[str, int] = field(default_factory=dict)
 
     @property

@@ -480,25 +480,6 @@ class Store:
         self._drain()
         return ev
 
-    def get_pooled(self) -> Event:
-        """Like :meth:`get`, but with a recyclable event for owned waits.
-
-        Same ownership contract as ``Simulator._pooled_timeout``: the
-        caller must be the event's sole holder, wait on it immediately,
-        and hand it back via ``sim._recycle`` once resumed.  Used by the
-        pipeline's starved-mapper path, where every buffered record costs
-        one wakeup and the event allocation is the only avoidable part.
-        """
-        pool = self.sim._timeout_pool
-        if pool:
-            ev = pool.pop()
-            ev.name = self._get_name
-        else:
-            ev = Event(self.sim, self._get_name)
-        self._getters.append(ev)
-        self._drain()
-        return ev
-
     def try_put(self, item: Any) -> bool:
         """Accept ``item`` synchronously if it cannot block; else False.
 
@@ -513,25 +494,6 @@ class Store:
         if self._getters:
             self._drain()
         return True
-
-    def try_put_many(self, items: list[Any]) -> int:
-        """Accept a prefix of ``items`` synchronously; returns the count.
-
-        Identical to calling :meth:`try_put` per item until one would
-        block.  The caller queues the remainder with :meth:`put_many`.
-        """
-        if self._putters:
-            return 0
-        buf = self._items
-        cap = self.capacity
-        n = 0
-        total = len(items)
-        while n < total and (cap is None or len(buf) < cap):
-            buf.append(items[n])
-            n += 1
-        if n and self._getters:
-            self._drain()
-        return n
 
     def put_many(self, items: list[Any]) -> Event:
         """Event firing once the *last* of ``items`` has been accepted.

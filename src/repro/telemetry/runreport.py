@@ -332,15 +332,14 @@ def _tag_policy(meta: dict[str, Any], telemetry: RunTelemetry) -> None:
 
 
 def _tag_fusion_misses(meta: dict[str, Any], result: Any) -> None:
-    """Record why the fused reader FSMs could not engage.
+    """Record which reads ran through the generator trampoline, and why.
 
     A capability miss — a reader or backend that doesn't speak the
-    continuation protocol — used to be invisible: the pipeline silently
-    fell back to generator workers (the serving replay to its generator
-    trampoline) and only a profile would show it.
-    Emitted only when non-empty (deliberate disengagement — the
-    ``REPRO_DISABLE_FUSED_PIPELINE`` gate, cache-writing epochs — is not
-    a miss), so existing golden reports stay byte-identical.
+    continuation protocol — means that epoch's reads (or, for the serving
+    replay, that job's requests) were trampolined, which only a profile
+    would otherwise show.  Emitted only when non-empty (a cache-writing
+    epoch is trampolined by design and is not a miss), so existing
+    golden reports stay byte-identical.
     """
     misses = getattr(result, "fusion_misses", None)
     if misses:

@@ -9,12 +9,14 @@ windows on any mount — driving quarantine, re-admission, fallback
 routing and retry exhaustion) and tenancy-capped multi-job mixes
 (arbiter ledgers, per-job stats, namespace enforcement).
 
-For every drawn scenario, a fused run and a
-``REPRO_DISABLE_FUSED_PIPELINE=1`` run must agree on *everything*
-observable: the un-scaled run record repr (epoch times, utilizations,
-op counts, down to float repr) and the middleware's full published
-metrics registry — tier stats, placement ledger, health counters,
-arbiter ledger, per-job stats.
+The reference side forces every reader to decline the protocol, so the
+pipeline runs the readers' generator ``open``/``pread`` through the
+trampoline for every read; a spy checks that it did.  For every drawn
+scenario both sides must agree on *everything* observable: the run
+result repr (epoch times, utilizations, op counts, down to float repr;
+only the fusion-miss tally differs by construction), the middleware's
+full published metrics registry — tier stats, placement ledger, health
+counters, arbiter ledger, per-job stats — and the dispatch-slot count.
 
 Seeded and derandomized like the placement suites, so a failing example
 reproduces bit-for-bit.
@@ -22,19 +24,25 @@ reproduces bit-for-bit.
 
 from __future__ import annotations
 
-import os
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.framework.io_layer as io_layer
+from repro.core.middleware import MonarchReader
 from repro.data.imagenet import IMAGENET_100G, scaled
+from repro.distributed.peercache import PeerCacheReader
 from repro.experiments.calibration import DEFAULT_CALIBRATION
-from repro.experiments.multi_scenarios import JobPlan, run_multi_once
+from repro.experiments.multi_scenarios import JobPlan, build_multi_run
 from repro.experiments.runner import run_once
 from repro.experiments.scenarios import build_run
 from repro.faults import FaultPlan, TierDown, TransientFaults
+from repro.framework.io_layer import PosixReader
+from repro.framework.pipeline import EpochPipeline
 
 pytestmark = [pytest.mark.hypothesis_heavy]
 
@@ -42,7 +50,6 @@ SCALE = 1 / 4096  # ~220 samples; one run completes in well under a second
 SSD_MOUNT = "/mnt/ssd"
 PFS_MOUNT = "/mnt/pfs"
 TINY = scaled(IMAGENET_100G, 0.1)
-_GATE = "REPRO_DISABLE_FUSED_PIPELINE"
 
 
 # -- strategies --------------------------------------------------------------
@@ -85,24 +92,49 @@ def fault_plans(draw):
 
 # -- helpers -----------------------------------------------------------------
 
-def _with_gate(value: str | None, fn):
-    """Run ``fn`` with the fused gate set (or cleared) and restored after."""
-    prev = os.environ.pop(_GATE, None)
-    if value is not None:
-        os.environ[_GATE] = value
-    try:
-        return fn()
-    finally:
-        os.environ.pop(_GATE, None)
-        if prev is not None:
-            os.environ[_GATE] = prev
+def _generator_reads(fn):
+    """Run ``fn`` with every reader declining the continuation protocol,
+    and check that every epoch pipeline that started really opened its
+    shards through the trampoline (a run may crash before epoch 1)."""
+    driven = []
+    pipelines = []
+    real_drive_start = io_layer._LegacyDrive.start
+    real_pipe_start = EpochPipeline.start
+
+    def spying_drive_start(self, gen, cb, take=None):
+        driven.append(gen.__name__)
+        real_drive_start(self, gen, cb, take)
+
+    def spying_pipe_start(self):
+        pipelines.append(self)
+        real_pipe_start(self)
+
+    def decline(self, paths):
+        return False
+
+    with mock.patch.object(io_layer._LegacyDrive, "start", spying_drive_start), \
+            mock.patch.object(EpochPipeline, "start", spying_pipe_start), \
+            mock.patch.object(PosixReader, "fused_capable", decline), \
+            mock.patch.object(MonarchReader, "fused_capable", decline), \
+            mock.patch.object(PeerCacheReader, "fused_capable", decline):
+        out = fn()
+    assert driven.count("_open_gen") >= len(pipelines), (
+        "pipeline reads bypassed the trampoline — comparison is vacuous"
+    )
+    return out
+
+
+def _stripped(result):
+    """``repr`` of a train result with the fusion-miss tally cleared."""
+    return repr(replace(result, fusion_misses={}))
 
 
 def _monarch_observables(fault_plan, seed):
-    """(outcome repr, published counters) of one faulted monarch run.
+    """(outcome, published counters, dispatch slots) of one faulted
+    monarch run.
 
     Some drawn plans are fatal by design (a permanent PFS outage kills
-    the training job in *both* modes); crash parity — same exception,
+    the training job on *both* sides); crash parity — same exception,
     same message, same sim time — is part of the equivalence property,
     so a crash becomes an outcome string instead of a test error.
     """
@@ -116,12 +148,12 @@ def _monarch_observables(fault_plan, seed):
         fault_plan=fault_plan,
     )
     try:
-        outcome = repr(handle.execute())
+        outcome = _stripped(handle.execute())
     except Exception as err:  # noqa: BLE001 - crash parity is the property
         outcome = f"raised {type(err).__name__}: {err} at t={handle.sim.now!r}"
     assert handle.monarch is not None
     counters = dict(handle.monarch.publish_metrics().counters)
-    return outcome, counters
+    return outcome, counters, handle.sim.events_processed
 
 
 # -- properties --------------------------------------------------------------
@@ -136,14 +168,9 @@ def _monarch_observables(fault_plan, seed):
 def test_faulted_monarch_fused_matches_generator(plan, seed):
     """Records, tier/health stats and placement ledgers are identical
     under arbitrary outage + transient-fault schedules."""
-    fused_result, fused_counters = _with_gate(
-        None, lambda: _monarch_observables(plan, seed)
-    )
-    legacy_result, legacy_counters = _with_gate(
-        "1", lambda: _monarch_observables(plan, seed)
-    )
-    assert fused_result == legacy_result
-    assert fused_counters == legacy_counters
+    fused = _monarch_observables(plan, seed)
+    generator = _generator_reads(lambda: _monarch_observables(plan, seed))
+    assert fused == generator
 
 
 @settings(
@@ -164,13 +191,18 @@ def test_tenancy_capped_fused_matches_generator(share_a, seed):
         JobPlan("a", "lenet", TINY, share=share_a),
         JobPlan("b", "lenet", TINY, share=1.0 - share_a),
     ]
-    fused = _with_gate(
-        None, lambda: repr(run_multi_once(plans, scale=SCALE, seed=seed, report=True))
-    )
-    legacy = _with_gate(
-        "1", lambda: repr(run_multi_once(plans, scale=SCALE, seed=seed, report=True))
-    )
-    assert fused == legacy
+
+    def observe():
+        handle = build_multi_run(plans, DEFAULT_CALIBRATION, scale=SCALE,
+                                 seed=seed, telemetry=True)
+        results = handle.execute()
+        return (
+            {job: _stripped(r) for job, r in results.items()},
+            dict(handle.monarch.publish_metrics().counters),
+            handle.sim.events_processed,
+        )
+
+    assert observe() == _generator_reads(observe)
 
 
 @settings(
@@ -182,22 +214,17 @@ def test_tenancy_capped_fused_matches_generator(share_a, seed):
 @given(seed=st.integers(min_value=0, max_value=2**16))
 def test_quarantine_readmit_cycle_fused_matches_generator(seed):
     """The targeted worst case: an SSD outage mid-epoch-1 with recovery —
-    quarantine, fallback routing, probe reads and re-admission all happen
-    while fused FSMs are live."""
+    quarantine, fallback routing and probe reads all happen while fused
+    reads are in flight."""
     plan = FaultPlan({
         SSD_MOUNT: (
             TierDown(at=0.03, recover_at=0.12),
             TransientFaults(start=0.2, end=0.3, read_p=0.5),
         ),
     })
-    fused_result, fused_counters = _with_gate(
-        None, lambda: _monarch_observables(plan, seed)
-    )
-    legacy_result, legacy_counters = _with_gate(
-        "1", lambda: _monarch_observables(plan, seed)
-    )
-    assert fused_result == legacy_result
-    assert fused_counters == legacy_counters
+    fused = _monarch_observables(plan, seed)
+    generator = _generator_reads(lambda: _monarch_observables(plan, seed))
+    assert fused == generator
 
 
 def test_fused_records_match_via_run_once():
@@ -209,10 +236,9 @@ def test_fused_records_match_via_run_once():
             TransientFaults(start=0.4, end=0.6, read_p=0.4, write_p=0.4),
         ),
     })
-    fused = _with_gate(None, lambda: repr(run_once(
-        "monarch", "lenet", IMAGENET_100G, scale=SCALE, seed=11, fault_plan=plan
-    )))
-    legacy = _with_gate("1", lambda: repr(run_once(
-        "monarch", "lenet", IMAGENET_100G, scale=SCALE, seed=11, fault_plan=plan
-    )))
-    assert fused == legacy
+    def record():
+        return repr(run_once(
+            "monarch", "lenet", IMAGENET_100G, scale=SCALE, seed=11, fault_plan=plan
+        ))
+
+    assert record() == _generator_reads(record)

@@ -1,128 +1,150 @@
-"""Golden comparison: fused pipeline vs generator pipeline, bit for bit.
+"""Golden comparison: continuation-protocol reads vs generator reads, bit for bit.
 
-The fused callback state machines in ``framework.pipeline`` are a pure
-speed optimization; ``REPRO_DISABLE_FUSED_PIPELINE=1`` runs the original
-generator workers.  These tests pin the acceptance bar for the whole
-batch-advance kernel: a full seeded run must produce a *byte-identical*
-``RunRecord`` either way — every epoch time, utilization average and
-backend counter, down to float repr.  An engagement spy guards against
-the comparison going vacuous (both sides silently running legacy).
+The pipeline's readers use the backends' ``open_begin``/``pread_begin``
+continuation protocol whenever the reader declares the epoch capable;
+otherwise every open and read runs the reader's generator ``open``/
+``pread`` through the ``io_layer._LegacyDrive`` trampoline.  The
+generator methods are the reference implementation, so these tests
+force every reader to decline the protocol and require the same run
+either way: a byte-identical result repr (every epoch time, utilization
+average and backend counter, down to float repr; only the fusion-miss
+tally differs by construction), identical middleware counters and the
+same dispatch-slot count.  A spy on the trampoline guards against the
+comparison going vacuous (both sides silently taking the same path).
 
-Monarch and monarch-p2p cells engage the fused FSMs too (the middleware
-and peer-cache readers speak the continuation protocol, routing per
-read), so they get the same spy-guarded treatment — including under
-fault plans, where the inlined fast paths must hand off to the legacy
-generator without perturbing a single event slot.
+Monarch and monarch-p2p cells count too: the middleware and peer-cache
+readers route per read, so their inlined fast paths must land every
+hold and counter in the generator path's slots — including under fault
+plans, where they hand off to the generator mid-run.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-import repro.framework.pipeline as pipeline_mod
-from repro.data.imagenet import IMAGENET_100G
-from repro.experiments.dist_scenarios import run_distributed_once
+import repro.framework.io_layer as io_layer
+from repro.core.middleware import MonarchReader
+from repro.data.imagenet import IMAGENET_100G, scaled
+from repro.data.sharding import build_shards
+from repro.distributed.peercache import PeerCacheReader
 from repro.experiments.runner import run_once
-from repro.experiments.scenarios import ssd_tier_down_plan
 from repro.faults import FaultPlan, TransientFaults
+from repro.framework.io_layer import PosixReader
+from tests.golden.test_pipeline_pins import run_cell
 
-#: small but contended: 16 shards, multi-epoch, both OST queueing and
-#: CPU-bound mapper stretches — the kernel-speed probe's little sibling
+#: the pinned cells' scale: small but contended, multi-epoch, both OST
+#: queueing and CPU-bound mapper stretches
 _SCALE = 1 / 256
 
 
 @pytest.fixture
-def fused_spy(monkeypatch):
-    """Record every fused-reader FSM start (the engagement signal)."""
-    started = []
-    real_start = pipeline_mod._FusedReader._start
+def drive_spy(monkeypatch):
+    """Names of the generators every trampoline start drove."""
+    driven = []
+    real_start = io_layer._LegacyDrive.start
 
-    def spying_start(self, arg):
-        started.append(self)
-        real_start(self, arg)
+    def spying_start(self, gen, cb, take=None):
+        driven.append(gen.__name__)
+        real_start(self, gen, cb, take)
 
-    monkeypatch.setattr(pipeline_mod._FusedReader, "_start", spying_start)
-    return started
-
-
-@pytest.mark.parametrize("setup", ["vanilla-lustre", "vanilla-local", "monarch"])
-def test_fused_and_generator_records_byte_identical(setup, fused_spy, monkeypatch):
-    monkeypatch.delenv("REPRO_DISABLE_FUSED_PIPELINE", raising=False)
-    fused = repr(run_once(setup, "resnet50", IMAGENET_100G, scale=_SCALE, seed=0))
-    assert fused_spy, "fused readers never engaged — comparison would be vacuous"
-
-    monkeypatch.setenv("REPRO_DISABLE_FUSED_PIPELINE", "1")
-    fused_spy.clear()
-    legacy = repr(run_once(setup, "resnet50", IMAGENET_100G, scale=_SCALE, seed=0))
-    assert not fused_spy, "gate ignored — legacy run used the fused readers"
-
-    assert fused == legacy
+    monkeypatch.setattr(io_layer._LegacyDrive, "start", spying_start)
+    return driven
 
 
-def test_monarch_p2p_fused_and_generator_identical(fused_spy, monkeypatch):
-    """Peer-cache cells engage the fused FSMs and stay bit-identical:
-    the peer-fetch continuation chain (remote SSD read + fabric transfer)
-    must land every hold and counter in the generator path's slots."""
-    monkeypatch.delenv("REPRO_DISABLE_FUSED_PIPELINE", raising=False)
-    fused = repr(run_distributed_once(
-        "monarch-p2p", "resnet50", IMAGENET_100G, n_nodes=3,
-        policy="reshuffle", scale=_SCALE, seed=0,
-    ))
-    assert fused_spy, "fused readers never engaged on monarch-p2p"
-
-    monkeypatch.setenv("REPRO_DISABLE_FUSED_PIPELINE", "1")
-    fused_spy.clear()
-    legacy = repr(run_distributed_once(
-        "monarch-p2p", "resnet50", IMAGENET_100G, n_nodes=3,
-        policy="reshuffle", scale=_SCALE, seed=0,
-    ))
-    assert not fused_spy
-
-    assert fused == legacy
+def _force_trampoline(monkeypatch) -> None:
+    """Make every reader decline the continuation protocol."""
+    for cls in (PosixReader, MonarchReader, PeerCacheReader):
+        monkeypatch.setattr(cls, "fused_capable", lambda self, paths: False)
 
 
-def test_faulted_monarch_engages_fused_and_stays_identical(fused_spy, monkeypatch):
-    """Under a fault plan the monarch reader still engages (capability is
-    per read), but every read on the fault-wrapped mounts replays the
-    legacy generator — injection, quarantine and recovery included."""
-    plan = ssd_tier_down_plan(0.05, recover_at_s=0.4)
-    monkeypatch.delenv("REPRO_DISABLE_FUSED_PIPELINE", raising=False)
-    fused = repr(run_once("monarch", "resnet50", IMAGENET_100G,
-                          scale=_SCALE, seed=3, fault_plan=plan))
-    assert fused_spy, "fault plan must not disengage the monarch fused readers"
-
-    monkeypatch.setenv("REPRO_DISABLE_FUSED_PIPELINE", "1")
-    fused_spy.clear()
-    legacy = repr(run_once("monarch", "resnet50", IMAGENET_100G,
-                           scale=_SCALE, seed=3, fault_plan=plan))
-    assert fused == legacy
+def _observe(cell: str) -> tuple[dict, dict]:
+    """(pinned observables with the miss tally stripped, the miss tally)."""
+    obs = run_cell(cell)
+    result = obs["result"]
+    misses = result.fusion_misses
+    obs["result"] = repr(replace(result, fusion_misses={}))
+    return obs, misses
 
 
-def test_faulted_vanilla_mount_disengages_fused(fused_spy, monkeypatch):
+def _assert_trampoline_matches(cell, reader_cls, drive_spy, monkeypatch):
+    fused, fused_misses = _observe(cell)
+    assert fused_misses == {}
+    assert "_chunk_gen" not in drive_spy, "protocol side trampolined its reads"
+
+    _force_trampoline(monkeypatch)
+    drive_spy.clear()
+    generator, generator_misses = _observe(cell)
+    assert "_chunk_gen" in drive_spy, "reads never trampolined — comparison is vacuous"
+    assert set(generator_misses) == {f"reader:{reader_cls.__name__}"}
+
+    assert generator == fused
+
+
+@pytest.mark.parametrize("cell,reader_cls", [
+    ("vanilla_lustre", PosixReader),
+    ("vanilla_local", PosixReader),
+    ("monarch", MonarchReader),
+], ids=["vanilla-lustre", "vanilla-local", "monarch"])
+def test_fused_and_generator_records_byte_identical(cell, reader_cls,
+                                                    drive_spy, monkeypatch):
+    _assert_trampoline_matches(cell, reader_cls, drive_spy, monkeypatch)
+
+
+def test_monarch_p2p_fused_and_generator_identical(drive_spy, monkeypatch):
+    """Peer-cache cells: the peer-fetch continuation chain (remote SSD
+    read + fabric transfer) must land every hold and counter in the
+    generator path's slots."""
+    _assert_trampoline_matches("monarch_p2p", PeerCacheReader, drive_spy, monkeypatch)
+
+
+def test_faulted_monarch_engages_fused_and_stays_identical(drive_spy, monkeypatch):
+    """Under a fault plan the monarch reader still speaks the protocol
+    (capability is per read), but every read on the fault-wrapped mounts
+    replays the generator — injection, quarantine and recovery included."""
+    _assert_trampoline_matches("monarch_ssd_down", MonarchReader, drive_spy, monkeypatch)
+
+
+def test_faulted_vanilla_mount_disengages_fused(drive_spy, monkeypatch):
     """A fault-wrapped POSIX mount is not continuation-capable *as a
-    class* — the proxy's ``__getattr__`` would otherwise tunnel fused
-    reads around the injector.  The pipeline must fall back wholesale
-    and report the capability miss in the RunReport meta."""
+    class* — the proxy's ``__getattr__`` would otherwise tunnel reads
+    around the injector.  Every open and read of the epoch must go
+    through the trampoline, and the capability miss must reach the
+    RunReport meta."""
+    protocol_calls = []
+    for name in ("open_begin", "pread_begin", "pread_begin_bound"):
+        real = getattr(PosixReader, name)
+
+        def spying(self, *args, _real=real, _name=name):
+            protocol_calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(PosixReader, name, spying)
     plan = FaultPlan({
         "/mnt/pfs": (TransientFaults(start=0.0, end=1e9, read_p=0.0),)
     })
-    monkeypatch.delenv("REPRO_DISABLE_FUSED_PIPELINE", raising=False)
     record = run_once("vanilla-lustre", "resnet50", IMAGENET_100G,
                       scale=_SCALE, seed=0, fault_plan=plan, report=True)
-    assert not fused_spy, "fused readers tunnelled past the fault injector"
+    assert not protocol_calls, "reads tunnelled past the fault injector"
+    n_epochs = len(record.epoch_times_s)
+    n_shards = len(build_shards(scaled(IMAGENET_100G, _SCALE)).shards)
+    assert drive_spy.count("_open_gen") == n_shards * n_epochs
+    assert drive_spy.count("_chunk_gen") >= drive_spy.count("_open_gen")
     misses = record.report["meta"]["fused_capability_misses"]
-    assert misses == {"backend:FaultyFileSystem": len(record.epoch_times_s)}
+    assert misses == {"backend:FaultyFileSystem": n_epochs}
 
 
-def test_clean_reports_carry_no_miss_key(monkeypatch):
-    """Fusion engaging (or being gated off deliberately) is not a miss:
-    the meta key must stay absent so golden reports stay byte-stable."""
-    monkeypatch.delenv("REPRO_DISABLE_FUSED_PIPELINE", raising=False)
+def test_clean_reports_carry_no_miss_key(drive_spy):
+    """Using the protocol — or trampolining a cache-writing epoch, by
+    design — is not a miss: the meta key must stay absent so golden
+    reports stay byte-stable."""
     record = run_once("monarch", "resnet50", IMAGENET_100G,
                       scale=_SCALE, seed=0, report=True)
     assert "fused_capability_misses" not in record.report["meta"]
 
-    monkeypatch.setenv("REPRO_DISABLE_FUSED_PIPELINE", "1")
-    gated = run_once("monarch", "resnet50", IMAGENET_100G,
-                     scale=_SCALE, seed=0, report=True)
-    assert "fused_capability_misses" not in gated.report["meta"]
+    drive_spy.clear()
+    caching = run_once("vanilla-caching", "lenet", IMAGENET_100G,
+                       scale=_SCALE, seed=0, report=True)
+    assert "_chunk_gen" in drive_spy, "the cache-writing epoch was not trampolined"
+    assert "fused_capability_misses" not in caching.report["meta"]

@@ -164,9 +164,13 @@ class TestEpochPipeline:
                              fast_model, shuffle_rng)
         pipe.start()
         sim.run(until=1e-6)
+        stages = pipe._fsm_readers + pipe._fsm_mappers
+        assert stages and all(s.alive for s in stages)
         pipe.abort()
         sim.run()
-        assert all(not p.is_alive for p in pipe._procs)
+        assert not any(s.alive for s in stages)
+        # the opens in flight at abort completed, but read nothing further
+        assert len(pipe._record_store) == 0
 
     def test_record_ref_fields(self):
         r = RecordRef(sample_id=3, payload_len=100)

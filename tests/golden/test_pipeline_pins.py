@@ -21,7 +21,7 @@ pin the cells that exercise the input pipeline's reader paths harder:
 * ``zero_yield`` — a generator-only reader whose ``pread`` completes
   without yielding, over shards of about 1,800 chunks each.
 
-Each fixture records the driver result's repr (or the crash), the
+Each fixture records the run result's repr (or the crash), the
 backend and middleware counters, and — on the cells that have always
 run continuation-style readers — the kernel's dispatch-slot count.
 After an intentional change to simulated behaviour, refresh with::
@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 from dataclasses import asdict, replace
 from typing import Any, Callable
 
@@ -78,21 +79,24 @@ class ZeroYieldReader(DataReader):
         return max(0, min(nbytes, f.size - offset))
 
 
-def _outcome(run: Callable[[], Any], sim: Any) -> str:
-    """``repr`` of the run's result, or the crash with its sim time."""
+def _outcome(run: Callable[[], Any], sim: Any) -> Any:
+    """The run's result, or its crash (with sim time) as a string."""
     try:
-        return repr(run())
+        return run()
     except Exception as err:  # noqa: BLE001 - the crash is the outcome
         return f"raised {type(err).__name__}: {err} at t={sim.now!r}"
+
+
+def _with_read_chunk(read_chunk: int) -> Any:
+    calib = DEFAULT_CALIBRATION
+    return replace(calib, pipeline=replace(calib.pipeline, read_chunk=read_chunk))
 
 
 def _single(setup: str, model: str = "resnet50", scale: float = SCALE,
             seed: int = 0, read_chunk: int | None = None,
             reader: Callable[[Any], DataReader] | None = None,
             fault_plan: FaultPlan | None = None) -> dict[str, Any]:
-    calib = DEFAULT_CALIBRATION
-    if read_chunk is not None:
-        calib = replace(calib, pipeline=replace(calib.pipeline, read_chunk=read_chunk))
+    calib = DEFAULT_CALIBRATION if read_chunk is None else _with_read_chunk(read_chunk)
     handle = build_run(setup=setup, model_name=model, dataset=IMAGENET_100G,
                        calib=calib, scale=scale, seed=seed, fault_plan=fault_plan)
     if reader is not None:
@@ -173,11 +177,18 @@ PINS: dict[str, tuple[Callable[[], dict[str, Any]], bool]] = {
 }
 
 
+def run_cell(name: str) -> dict[str, Any]:
+    """Run one pinned cell: its result (or crash string), backend and
+    middleware counters, and dispatch-slot count."""
+    return PINS[name][0]()
+
+
 def pin_cell(name: str) -> dict[str, Any]:
     """Run one pinned cell and collect what its fixture records."""
-    run, slots_pinned = PINS[name]
-    pin = run()
-    if not slots_pinned:
+    pin = run_cell(name)
+    if not isinstance(pin["result"], str):
+        pin["result"] = repr(pin["result"])
+    if not PINS[name][1]:
         del pin["events_processed"]
     return pin
 
@@ -204,3 +215,19 @@ def _check_against_pin(name: str, update: bool = False) -> None:
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_pipeline_matches_pinned_outcome(name):
     _check_against_pin(name, update=bool(os.environ.get("REPRO_UPDATE_GOLDEN")))
+
+
+def test_zero_yield_reader_loops_instead_of_recursing():
+    """Every read of a zero-yield reader completes inside the call that
+    issued it.  With more chunks per shard than Python's recursion limit,
+    chaining each completion into the next read by recursion would raise
+    RecursionError; the pipeline must loop and reproduce the pinned run."""
+    handle = build_run(setup="vanilla-lustre", model_name="lenet",
+                       dataset=IMAGENET_100G, calib=_with_read_chunk(4096),
+                       scale=SCALE, seed=0)
+    chunks = max(-(-s.size // 4096) for s in handle.trainer.shards)
+    assert chunks > max(1000, sys.getrecursionlimit())
+    handle.trainer.reader = ZeroYieldReader(handle.trainer.reader.mounts)
+    result = handle.execute()
+    golden = json.loads((GOLDEN_DIR / "pipeline_zero_yield.json").read_text())
+    assert repr(result) == golden["result"]
