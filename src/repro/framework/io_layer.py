@@ -92,7 +92,7 @@ class _LegacyDrive:
     start slot, as the process would have.
     """
 
-    __slots__ = ("sim", "pool", "gen", "cb", "take")
+    __slots__ = ("sim", "pool", "gen", "cb", "take", "target")
 
     def __init__(self, sim: Any, pool: list["_LegacyDrive"]) -> None:
         self.sim = sim
@@ -100,6 +100,7 @@ class _LegacyDrive:
         self.gen: Any = None
         self.cb: Any = None
         self.take: int | None = None
+        self.target: Any = None  #: the event the suspended generator waits on
 
     def start(self, gen: Any, cb: Any, take: int | None = None) -> None:
         """Run ``gen`` to its first suspension in the caller's slot."""
@@ -132,7 +133,15 @@ class _LegacyDrive:
         except BaseException as err:  # noqa: BLE001 - routed like a dead proc
             self._fail(err)
             return
+        self.target = target
         target.add_callback(self._step)
+
+    def close(self) -> None:
+        """Abandon the suspended generator, as ``Process.kill`` does."""
+        if self.gen is not None:
+            self.target.callbacks.remove(self._step)
+            self.gen.close()
+            self.gen = self.cb = None
 
     def _finish(self, value: Any, last: Any) -> None:
         take = self.take

@@ -169,6 +169,7 @@ class _FusedReader:
         "_sync_open",
         "_trampolined",
         "_sync",
+        "_op",
     )
 
     def __init__(self, pipe: "EpochPipeline", trampolined: bool) -> None:
@@ -190,6 +191,7 @@ class _FusedReader:
         self._trampolined = trampolined
         #: a trampolined op is inside ``_LegacyDrive.start`` (see _drive)
         self._sync = False
+        self._op: _LegacyDrive | None = None  #: the trampoline running an op
 
     def _step(self, ev: Any = None) -> None:
         """Emit the records the last read completed, then issue the next
@@ -316,6 +318,7 @@ class _FusedReader:
         """
         pool = self.pipe._drives
         drive = pool.pop() if pool else _LegacyDrive(self.pipe.sim, pool)
+        self._op = drive
         self._sync = True
         drive.start(gen, self._drive_done)
         finished = not self._sync
@@ -323,6 +326,7 @@ class _FusedReader:
         return finished
 
     def _drive_done(self, ev: Any) -> None:
+        self._op = None
         if self._sync:
             self._sync = False
         else:
@@ -416,7 +420,9 @@ class _FusedMapper:
         # indistinguishable from a single combined hold, so this only
         # quantizes the *emission* instants of the interior records to the
         # run's end — a shift bounded by the run duration (hence the small
-        # cap), invisible at epoch scale.  try_get is inlined (pop + drain-if-putters): the claim loop runs
+        # cap), invisible at epoch scale.
+        #
+        # try_get is inlined (pop + drain-if-putters): the claim loop runs
         # up to four times per record run and is pure deque traffic.
         pt = self.preprocess_time
         run = [item]
@@ -457,7 +463,7 @@ class _FusedMapper:
             else:
                 sim._normal.append((self._cpu_done_fast, None))
         else:
-            cpu.hold(total).add_callback(self._cpu_done_held)
+            cpu.hold(total).add_callback(self._emit_if_alive)
 
     def _cpu_done_fast(self, _arg: Any) -> None:
         # Release first, even if the pipeline was aborted mid-hold.
@@ -474,7 +480,7 @@ class _FusedMapper:
         if self.alive:
             self._emit()
 
-    def _cpu_done_held(self, _ev: Any) -> None:
+    def _emit_if_alive(self, _ev: Any) -> None:
         if self.alive:
             self._emit()
 
@@ -494,17 +500,13 @@ class _FusedMapper:
                 pipe._batch = []
                 if not prefetch.try_put(batch):
                     self._emit_from = i
-                    prefetch.put(batch).add_callback(self._emit_put_done)
+                    prefetch.put(batch).add_callback(self._emit_if_alive)
                     return
         self._run = []
         if self._got_sentinel:
             self._finished()
             return
         self._next()
-
-    def _emit_put_done(self, _ev: Any) -> None:
-        if self.alive:
-            self._emit()
 
     def _finished(self) -> None:
         self.alive = False
@@ -515,14 +517,11 @@ class _FusedMapper:
         if pipe._batch:
             batch, pipe._batch = pipe._batch, []
             if not pipe.prefetch.try_put(batch):
-                pipe.prefetch.put(batch).add_callback(self._flush_put_done)
+                pipe.prefetch.put(batch).add_callback(self._final_sentinel)
                 return
         self._final_sentinel()
 
-    def _flush_put_done(self, _ev: Any) -> None:
-        self._final_sentinel()
-
-    def _final_sentinel(self) -> None:
+    def _final_sentinel(self, _ev: Any = None) -> None:
         pipe = self.pipe
         if not pipe.prefetch.try_put(_SENTINEL):
             # Nothing runs after the sentinel lands, so no callback needed:
@@ -558,8 +557,7 @@ class EpochPipeline:
         self.shards = cache.effective_shards(shards) if cache else shards
         order = shuffle_rng.permutation(len(self.shards))
         self._shard_queue: list[int] = [int(i) for i in order]
-        self._total_records = sum(s.n_records for s in self.shards)
-        self.total_batches = -(-self._total_records // config.batch_size)
+        self.total_batches = -(-sum(s.n_records for s in self.shards) // config.batch_size)
         self._record_store = Store(sim, capacity=config.shuffle_buffer_records, name="shuffle")
         self.prefetch = Store(sim, capacity=config.prefetch_batches, name="prefetch")
         # Batch assembly is plain bookkeeping (no timed ops), so mappers
@@ -650,14 +648,15 @@ class EpochPipeline:
         return item
 
     def abort(self) -> None:
-        """Stop every stage (used on failure paths); completions of ops
-        still in flight are dropped."""
+        """Stop every stage (failure paths, drop-remainder epoch ends).
+
+        A trampolined op in flight is closed, as killing a reader process
+        would close it; a continuation-protocol op runs on and its
+        completion is dropped.
+        """
         for r in self._fsm_readers:
             r.alive = False
+            if r._op is not None:
+                r._op.close()
         for m in self._fsm_mappers:
             m.alive = False
-
-    @property
-    def total_records(self) -> int:
-        """Records this epoch will deliver."""
-        return self._total_records

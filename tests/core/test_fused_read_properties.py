@@ -16,7 +16,8 @@ scenario both sides must agree on *everything* observable: the run
 result repr (epoch times, utilizations, op counts, down to float repr;
 only the fusion-miss tally differs by construction), the middleware's
 full published metrics registry — tier stats, placement ledger, health
-counters, arbiter ledger, per-job stats — and the dispatch-slot count.
+counters, arbiter ledger, per-job stats — and the dispatch-slot count;
+multi-job runs also compare their whole RunReport record repr.
 
 Seeded and derandomized like the placement suites, so a failing example
 reproduces bit-for-bit.
@@ -37,7 +38,7 @@ from repro.core.middleware import MonarchReader
 from repro.data.imagenet import IMAGENET_100G, scaled
 from repro.distributed.peercache import PeerCacheReader
 from repro.experiments.calibration import DEFAULT_CALIBRATION
-from repro.experiments.multi_scenarios import JobPlan, build_multi_run
+from repro.experiments.multi_scenarios import JobPlan, build_multi_run, run_multi_once
 from repro.experiments.runner import run_once
 from repro.experiments.scenarios import build_run
 from repro.faults import FaultPlan, TierDown, TransientFaults
@@ -192,6 +193,11 @@ def test_tenancy_capped_fused_matches_generator(share_a, seed):
         JobPlan("b", "lenet", TINY, share=1.0 - share_a),
     ]
 
+    def record():
+        # The whole multi-job RunReport: the timestamped event stream,
+        # traced backend cross-checks, per-job epoch tier deltas.
+        return repr(run_multi_once(plans, scale=SCALE, seed=seed, report=True))
+
     def observe():
         handle = build_multi_run(plans, DEFAULT_CALIBRATION, scale=SCALE,
                                  seed=seed, telemetry=True)
@@ -202,6 +208,7 @@ def test_tenancy_capped_fused_matches_generator(share_a, seed):
             handle.sim.events_processed,
         )
 
+    assert record() == _generator_reads(record)
     assert observe() == _generator_reads(observe)
 
 

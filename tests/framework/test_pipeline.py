@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.framework.io_layer import OpenFile
 from repro.framework.pipeline import (
     EpochPipeline,
     PipelineConfig,
@@ -171,6 +172,42 @@ class TestEpochPipeline:
         assert not any(s.alive for s in stages)
         # the opens in flight at abort completed, but read nothing further
         assert len(pipe._record_store) == 0
+
+    def test_abort_closes_trampolined_reads(self, sim, small_config, pfs_shards,
+                                            node, fast_model, shuffle_rng):
+        """A generator read in flight at abort is closed where it is
+        suspended, as killing a reader process would close it: it never
+        resumes, so it issues nothing further."""
+        log = []
+
+        class SlowReader:
+            def open(self, path):
+                if False:  # pragma: no cover - an open that never yields
+                    yield None
+                return OpenFile(path=path, size=1 << 20)
+
+            def pread(self, f, offset, nbytes):
+                try:
+                    yield sim.timeout(1.0)
+                    log.append("resumed")
+                    yield sim.timeout(1.0)
+                finally:
+                    log.append("closed")
+                return nbytes
+
+            def close(self, f):
+                pass
+
+        pipe = EpochPipeline(sim, small_config, pfs_shards, SlowReader(), node,
+                             fast_model, shuffle_rng)
+        pipe.start()
+        sim.run(until=0.5)
+        assert log == []
+        pipe.abort()
+        assert log == ["closed"] * small_config.cycle_length
+        sim.run()
+        assert log == ["closed"] * small_config.cycle_length
+        assert sim.now == 1.0
 
     def test_record_ref_fields(self):
         r = RecordRef(sample_id=3, payload_len=100)

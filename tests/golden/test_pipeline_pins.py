@@ -7,6 +7,9 @@ pin the cells that exercise the input pipeline's reader paths harder:
   1/256: the continuation protocol on the PFS, the SSD and the
   middleware.
 * ``monarch_p2p`` — three nodes, reshuffled partitions: peer fetches.
+* ``dist_vanilla_spiked_pfs`` — three vanilla nodes, two readers each,
+  over a fault-wrapped, latency-spiked PFS: epoch ends abort pipelines
+  whose generator reads are still queued at, or holding, an OST.
 * ``monarch_ssd_down`` — the SSD dies mid-run and comes back (seed 3):
   quarantine, then thousands of probe reads.
 * ``vanilla_faulty_pfs`` — a fault-wrapped PFS mount, which is not
@@ -19,7 +22,8 @@ pin the cells that exercise the input pipeline's reader paths harder:
 * ``monarch_pfs_down`` / ``vanilla_pfs_down`` — the PFS dies for good;
   the pinned outcome is the crash itself.
 * ``zero_yield`` — a generator-only reader whose ``pread`` completes
-  without yielding, over shards of about 1,800 chunks each.
+  without yielding, over shards of about 1,800 chunks each (more than
+  the recursion limit).
 
 Each fixture records the run result's repr (or the crash), the
 backend and middleware counters, and — on the cells that have always
@@ -46,7 +50,7 @@ from repro.distributed.trainer import DistributedTrainer
 from repro.experiments.calibration import DEFAULT_CALIBRATION
 from repro.experiments.multi_scenarios import JobPlan, build_multi_run
 from repro.experiments.scenarios import build_run, ssd_tier_down_plan
-from repro.faults import FaultPlan, TierDown, TransientFaults
+from repro.faults import FaultPlan, LatencySpike, TierDown, TransientFaults
 from repro.framework.io_layer import DataReader, OpenFile
 from repro.framework.models import MODELS
 
@@ -79,6 +83,20 @@ class ZeroYieldReader(DataReader):
         return max(0, min(nbytes, f.size - offset))
 
 
+def _zero_yield_reader(trainer: Any) -> DataReader:
+    """A :class:`ZeroYieldReader` for ``trainer``'s mounts.
+
+    Every read completes inside the call that issued it, so with more
+    chunks per shard than Python's recursion limit, chaining each
+    completion into the next read by recursion would raise
+    RecursionError; the pipeline must loop instead.
+    """
+    chunk = trainer.config.read_chunk
+    chunks = max(-(-s.size // chunk) for s in trainer.shards)
+    assert chunks > max(1000, sys.getrecursionlimit())
+    return ZeroYieldReader(trainer.reader.mounts)
+
+
 def _outcome(run: Callable[[], Any], sim: Any) -> Any:
     """The run's result, or its crash (with sim time) as a string."""
     try:
@@ -100,7 +118,7 @@ def _single(setup: str, model: str = "resnet50", scale: float = SCALE,
     handle = build_run(setup=setup, model_name=model, dataset=IMAGENET_100G,
                        calib=calib, scale=scale, seed=seed, fault_plan=fault_plan)
     if reader is not None:
-        handle.trainer.reader = reader(handle.trainer.reader.mounts)
+        handle.trainer.reader = reader(handle.trainer)
     pin: dict[str, Any] = {"result": _outcome(handle.execute, handle.sim)}
     pin["backends"] = {"pfs": asdict(handle.pfs.stats.snapshot())}
     if handle.local_fs is not None:
@@ -111,13 +129,18 @@ def _single(setup: str, model: str = "resnet50", scale: float = SCALE,
     return pin
 
 
-def _p2p() -> dict[str, Any]:
+def _dist(setup: str, fault_plan: FaultPlan | None = None,
+          cycle_length: int | None = None) -> dict[str, Any]:
     calib = DEFAULT_CALIBRATION
-    cluster = build_cluster(setup="monarch-p2p", dataset=IMAGENET_100G, calib=calib,
-                            cluster_spec=ClusterSpec(n_nodes=3), scale=SCALE, seed=0)
+    cluster = build_cluster(setup=setup, dataset=IMAGENET_100G, calib=calib,
+                            cluster_spec=ClusterSpec(n_nodes=3), scale=SCALE, seed=0,
+                            fault_plan=fault_plan)
+    pipeline = cluster.env.pipeline
+    if cycle_length is not None:
+        pipeline = replace(pipeline, cycle_length=cycle_length)
     trainer = DistributedTrainer(
         cluster=cluster, model=MODELS["resnet50"],
-        pipeline_config=cluster.env.pipeline, partition_policy="reshuffle",
+        pipeline_config=pipeline, partition_policy="reshuffle",
         epochs=calib.epochs, seed=0,
     )
     sim = cluster.sim
@@ -127,9 +150,11 @@ def _p2p() -> dict[str, Any]:
     pin["backends"] = {"pfs": asdict(cluster.pfs.stats.snapshot())}
     pin["counters"] = {}
     for ns in cluster.nodes:
-        pin["backends"][f"local{ns.index}"] = asdict(ns.local_fs.stats.snapshot())
-        for key, value in ns.monarch.publish_metrics().counters.items():
-            pin["counters"][f"node{ns.index}.{key}"] = value
+        if ns.local_fs is not None:
+            pin["backends"][f"local{ns.index}"] = asdict(ns.local_fs.stats.snapshot())
+        if ns.monarch is not None:
+            for key, value in ns.monarch.publish_metrics().counters.items():
+                pin["counters"][f"node{ns.index}.{key}"] = value
     pin["events_processed"] = sim.events_processed
     return pin
 
@@ -153,6 +178,7 @@ _QUARANTINE = FaultPlan({SSD_MOUNT: (
 )})
 _PFS_DOWN = FaultPlan({PFS_MOUNT: (TierDown(at=0.05),)})
 _FAULTY_PFS = FaultPlan({PFS_MOUNT: (TransientFaults(start=0.0, end=1e9, read_p=0.0),)})
+_SPIKED_PFS = FaultPlan({PFS_MOUNT: (LatencySpike(start=0.0, end=1e9, multiplier=1.5),)})
 
 #: fixture suffix -> (cell runner, whether its slot count is pinned).
 #: Slots are pinned where the readers have always run continuation-style.
@@ -160,10 +186,12 @@ PINS: dict[str, tuple[Callable[[], dict[str, Any]], bool]] = {
     "vanilla_lustre": (lambda: _single("vanilla-lustre"), True),
     "vanilla_local": (lambda: _single("vanilla-local"), True),
     "monarch": (lambda: _single("monarch"), True),
-    "monarch_p2p": (_p2p, True),
+    "monarch_p2p": (lambda: _dist("monarch-p2p"), True),
     "monarch_ssd_down": (lambda: _single(
         "monarch", seed=3, fault_plan=ssd_tier_down_plan(0.05, recover_at_s=0.4)), True),
     "vanilla_faulty_pfs": (lambda: _single("vanilla-lustre", fault_plan=_FAULTY_PFS), False),
+    "dist_vanilla_spiked_pfs": (lambda: _dist(
+        "vanilla-lustre", _SPIKED_PFS, cycle_length=2), False),
     "vanilla_caching": (lambda: _single("vanilla-caching", model="lenet"), False),
     "multi_tenancy": (_multi, True),
     "monarch_quarantine": (lambda: _single(
@@ -173,7 +201,7 @@ PINS: dict[str, tuple[Callable[[], dict[str, Any]], bool]] = {
     "vanilla_pfs_down": (lambda: _single(
         "vanilla-lustre", model="lenet", scale=SMALL, fault_plan=_PFS_DOWN), False),
     "zero_yield": (lambda: _single(
-        "vanilla-lustre", model="lenet", read_chunk=4096, reader=ZeroYieldReader), False),
+        "vanilla-lustre", model="lenet", read_chunk=4096, reader=_zero_yield_reader), False),
 }
 
 
@@ -215,19 +243,3 @@ def _check_against_pin(name: str, update: bool = False) -> None:
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_pipeline_matches_pinned_outcome(name):
     _check_against_pin(name, update=bool(os.environ.get("REPRO_UPDATE_GOLDEN")))
-
-
-def test_zero_yield_reader_loops_instead_of_recursing():
-    """Every read of a zero-yield reader completes inside the call that
-    issued it.  With more chunks per shard than Python's recursion limit,
-    chaining each completion into the next read by recursion would raise
-    RecursionError; the pipeline must loop and reproduce the pinned run."""
-    handle = build_run(setup="vanilla-lustre", model_name="lenet",
-                       dataset=IMAGENET_100G, calib=_with_read_chunk(4096),
-                       scale=SCALE, seed=0)
-    chunks = max(-(-s.size // 4096) for s in handle.trainer.shards)
-    assert chunks > max(1000, sys.getrecursionlimit())
-    handle.trainer.reader = ZeroYieldReader(handle.trainer.reader.mounts)
-    result = handle.execute()
-    golden = json.loads((GOLDEN_DIR / "pipeline_zero_yield.json").read_text())
-    assert repr(result) == golden["result"]
