@@ -42,6 +42,8 @@ bench-kernel:
 
 # cProfile the kernel-speed probe cell and print the top cumulative
 # functions — the first stop when bench-kernel's events/sec regresses.
+# Pass --phase build to tools/profile_kernel.py to profile the scenario
+# build (dataset layout, trace generation) instead of the execution.
 profile-kernel:
 	$(PYTHON) tools/profile_kernel.py
 

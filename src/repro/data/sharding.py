@@ -5,6 +5,11 @@ appended to the current shard until it would exceed the target shard size,
 then a new shard starts.  Offsets use the real framing arithmetic from
 :mod:`repro.data.records`, so a manifest could be replayed byte-for-byte by
 the real codec.
+
+A shard stores its records as columns — payload lengths and frame-end
+offsets, int64 arrays — not as one object per record: the training-scale
+presets hold up to millions of records, and nothing downstream needs a
+record as an object before it enters the input pipeline.
 """
 
 from __future__ import annotations
@@ -14,14 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.dataset import DatasetSpec
-from repro.data.records import record_frame_size
+from repro.data.records import RECORD_OVERHEAD
 
 __all__ = ["RecordEntry", "ShardLayout", "ShardManifest", "build_shards"]
 
 
 @dataclass(frozen=True)
 class RecordEntry:
-    """One sample's frame inside a shard."""
+    """One sample's frame inside a shard (see :attr:`ShardLayout.records`)."""
 
     sample_id: int
     offset: int
@@ -31,23 +36,47 @@ class RecordEntry:
 
 @dataclass
 class ShardLayout:
-    """One record shard: filename + the frames it contains."""
+    """One record shard: filename plus its records, as columns.
+
+    Records are in offset order and hold consecutive sample ids from
+    ``first_id``; record ``k``'s frame is ``payload[k] + RECORD_OVERHEAD``
+    bytes and ends at ``ends[k]``.
+    """
 
     filename: str
-    records: list[RecordEntry] = field(default_factory=list)
+    #: payload bytes per record (int64)
+    payload: np.ndarray = field(repr=False)
+    #: offset just past each record's frame (int64, increasing)
+    ends: np.ndarray = field(repr=False)
+    #: sample id of the shard's first record
+    first_id: int = 0
+    #: total on-disk size of the shard (the last frame's end)
+    size_bytes: int = field(init=False)
 
-    @property
-    def size_bytes(self) -> int:
-        """Total on-disk size of the shard."""
-        if not self.records:
-            return 0
-        last = self.records[-1]
-        return last.offset + last.frame_len
+    def __post_init__(self) -> None:
+        self.size_bytes = int(self.ends[-1]) if len(self.ends) else 0
 
     @property
     def n_records(self) -> int:
         """Number of records packed into the shard."""
-        return len(self.records)
+        return len(self.payload)
+
+    @property
+    def records(self) -> list[RecordEntry]:
+        """One :class:`RecordEntry` per record, built on demand.
+
+        A view for the codec and inspection; the build and the input
+        pipeline read the columns.
+        """
+        return [
+            RecordEntry(
+                sample_id=self.first_id + k,
+                offset=end - payload - RECORD_OVERHEAD,
+                frame_len=payload + RECORD_OVERHEAD,
+                payload_len=payload,
+            )
+            for k, (end, payload) in enumerate(zip(self.ends.tolist(), self.payload.tolist()))
+        ]
 
 
 @dataclass
@@ -81,31 +110,33 @@ def build_shards(spec: DatasetSpec, name_prefix: str = "train") -> ShardManifest
     """Deterministically pack ``spec``'s samples into shards.
 
     Samples are packed in id order (the conversion pipeline's order — the
-    *training-time* order is the framework's shuffle, not this one).
+    *training-time* order is the framework's shuffle, not this one).  A
+    shard takes every next record whose frame still ends within the
+    target, and at least one, so a record larger than the target ships
+    alone: with the frame ends of the whole dataset as one running sum,
+    each shard boundary is a single binary search.
     """
-    sizes = spec.sample_sizes()
+    payload = spec.sample_sizes()
+    ends = np.cumsum(payload + RECORD_OVERHEAD)
+    target = spec.shard_target_bytes
+    bounds = [0]
+    n = len(payload)
+    while bounds[-1] < n:
+        first = bounds[-1]
+        base = int(ends[first - 1]) if first else 0
+        fit = int(np.searchsorted(ends, base + target, side="right"))
+        bounds.append(max(first + 1, fit))
+    total = len(bounds) - 1
+    width = max(5, len(str(total)))
     manifest = ShardManifest(spec=spec)
-    current = ShardLayout(filename="")
-    offset = 0
-    for sample_id, payload_len in enumerate(sizes):
-        frame = record_frame_size(int(payload_len))
-        if current.records and offset + frame > spec.shard_target_bytes:
-            manifest.shards.append(current)
-            current = ShardLayout(filename="")
-            offset = 0
-        current.records.append(
-            RecordEntry(
-                sample_id=sample_id,
-                offset=offset,
-                frame_len=frame,
-                payload_len=int(payload_len),
+    for i, (first, stop) in enumerate(zip(bounds, bounds[1:])):
+        base = int(ends[first - 1]) if first else 0
+        manifest.shards.append(
+            ShardLayout(
+                filename=f"{name_prefix}-{i:0{width}d}-of-{total:0{width}d}.tfrecord",
+                payload=payload[first:stop],
+                ends=ends[first:stop] - base,
+                first_id=first,
             )
         )
-        offset += frame
-    if current.records:
-        manifest.shards.append(current)
-    width = max(5, len(str(len(manifest.shards))))
-    total = len(manifest.shards)
-    for i, shard in enumerate(manifest.shards):
-        shard.filename = f"{name_prefix}-{i:0{width}d}-of-{total:0{width}d}.tfrecord"
     return manifest

@@ -27,7 +27,12 @@ through the :class:`~repro.framework.io_layer._LegacyDrive` trampoline.
 
 Fidelity note: the shuffle buffer bounds and delays the record stream but
 does not physically reorder it — record *identity* has no timing effect in
-the simulation, only counts and sizes do.
+the simulation, only counts and sizes do.  So a record travels through the
+shuffle and prefetch buffers as its payload length (a plain ``int``, the
+one thing the preprocess stage reads), and a batch is a list of them.  A
+shard hands the reader its records as two columns fixed at dataset build
+(:class:`ShardInfo`): frame-end offsets, which pace emission, and payload
+lengths.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.data.sharding import ShardLayout, ShardManifest
+from repro.data.sharding import ShardManifest
 from repro.framework.cache import TFDataCache
 from repro.framework.io_layer import DataReader, _LegacyDrive, fusion_miss
 from repro.framework.models import ModelProfile
@@ -48,7 +53,7 @@ from repro.simkernel.core import PRIORITY_URGENT, Simulator
 from repro.simkernel.resources import Store
 from repro.storage.blockmath import KIB
 
-__all__ = ["EpochPipeline", "PipelineConfig", "RecordRef", "ShardInfo", "shards_from_manifest"]
+__all__ = ["EpochPipeline", "PipelineConfig", "ShardInfo", "shards_from_manifest"]
 
 #: sentinel flowing through the stage stores to signal end-of-stream
 _SENTINEL = object()
@@ -89,26 +94,22 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class RecordRef:
-    """One training sample flowing through the pipeline."""
-
-    sample_id: int
-    payload_len: int
-
-
-@dataclass(frozen=True)
 class ShardInfo:
-    """A record shard as the pipeline sees it."""
+    """A record shard as the pipeline sees it: its records as two columns."""
 
     path: str
     size: int
-    #: (offset, frame_len, sample_id, payload_len) per record, offset-ordered
-    records: tuple[tuple[int, int, int, int], ...] = field(repr=False)
+    #: offset just past each record's frame, increasing: a record is
+    #: emitted once the reader's position passes its end
+    ends: tuple[int, ...] = field(repr=False)
+    #: payload bytes of each record, in the same order — the value that
+    #: flows through the pipeline as the record
+    payloads: tuple[int, ...] = field(repr=False)
 
     @property
     def n_records(self) -> int:
         """Number of records in the shard."""
-        return len(self.records)
+        return len(self.ends)
 
     def with_path(self, path: str) -> "ShardInfo":
         """Copy with a different path (cache redirection)."""
@@ -121,17 +122,15 @@ def shards_from_manifest(manifest: ShardManifest, paths: list[str]) -> list[Shar
         raise ValueError(
             f"{len(paths)} paths for {len(manifest.shards)} shards"
         )
-    out: list[ShardInfo] = []
-    for layout, path in zip(manifest.shards, paths):
-        out.append(_shard_info(layout, path))
-    return out
-
-
-def _shard_info(layout: ShardLayout, path: str) -> ShardInfo:
-    recs = tuple(
-        (r.offset, r.frame_len, r.sample_id, r.payload_len) for r in layout.records
-    )
-    return ShardInfo(path=path, size=layout.size_bytes, records=recs)
+    return [
+        ShardInfo(
+            path=path,
+            size=layout.size_bytes,
+            ends=tuple(layout.ends.tolist()),
+            payloads=tuple(layout.payload.tolist()),
+        )
+        for layout, path in zip(manifest.shards, paths)
+    ]
 
 
 class _FusedReader:
@@ -165,7 +164,7 @@ class _FusedReader:
         "_chunk",
         "_store",
         "_ends",
-        "_refs",
+        "_payloads",
         "_sync_open",
         "_trampolined",
         "_sync",
@@ -185,8 +184,8 @@ class _FusedReader:
         self._fh: Any = None
         self._chunk = pipe.config.read_chunk
         self._store = pipe._record_store
-        self._ends: list[int] = []
-        self._refs: list[RecordRef] = []
+        self._ends: tuple[int, ...] = ()
+        self._payloads: tuple[int, ...] = ()
         self._sync_open = getattr(pipe.reader, "open_is_sync", False)
         self._trampolined = trampolined
         #: a trampolined op is inside ``_LegacyDrive.start`` (see _drive)
@@ -230,20 +229,20 @@ class _FusedReader:
                 if emitted > start:
                     self._emitted = emitted
                     store = self._store
-                    # Non-blocking bulk put straight off the per-shard ref
-                    # table — the common all-fit case never slices.
+                    # Non-blocking bulk put straight off the shard's payload
+                    # column — the common all-fit case never slices.
                     k = start
                     if not store._putters:
                         buf = store._items
                         cap = store.capacity
-                        refs = self._refs
+                        payloads = self._payloads
                         while k < emitted and (cap is None or len(buf) < cap):
-                            buf.append(refs[k])
+                            buf.append(payloads[k])
                             k += 1
                         if k > start and store._getters:
                             store._drain()
                     if k < emitted:
-                        store.put_many(self._refs[k:emitted]).add_callback(self._step)
+                        store.put_many(self._payloads[k:emitted]).add_callback(self._step)
                         return
             elif n == 0:
                 # a short read: the shard ended early
@@ -275,18 +274,8 @@ class _FusedReader:
         self._shard = shard
         self._pos = 0
         self._emitted = 0
-        # Per-shard emission tables, built once and reused across epochs
-        # (ShardInfo is frozen but not slotted; the cache is pure
-        # precomputation — frame-end offsets and the immutable RecordRefs).
-        cache = shard.__dict__.get("_emit_cache")
-        if cache is None:
-            records = shard.records
-            cache = (
-                [off + frame for off, frame, _, _ in records],
-                [RecordRef(sid, payload) for _, _, sid, payload in records],
-            )
-            object.__setattr__(shard, "_emit_cache", cache)
-        self._ends, self._refs = cache
+        self._ends = shard.ends
+        self._payloads = shard.payloads
         if self._trampolined:
             return self._drive(self._open_gen(shard.path))
         try:
@@ -375,7 +364,7 @@ class _FusedMapper:
         self.batch_size = pipe.config.batch_size
         self.prefetch = pipe.prefetch
         self.alive = True
-        self._run: list[RecordRef] = []
+        self._run: list[int] = []
         self._emit_from = 0
         self._got_sentinel = False
 
@@ -426,7 +415,7 @@ class _FusedMapper:
         # up to four times per record run and is pure deque traffic.
         pt = self.preprocess_time
         run = [item]
-        total = pt(item.payload_len)
+        total = pt(item)
         got_sentinel = False
         store = self.store
         items = store._items
@@ -441,7 +430,7 @@ class _FusedMapper:
                 got_sentinel = True
                 break
             run.append(nxt)
-            total += pt(nxt.payload_len)
+            total += pt(nxt)
         self._run = run
         self._emit_from = 0
         self._got_sentinel = got_sentinel
@@ -564,7 +553,7 @@ class EpochPipeline:
         # deposit straight into the forming batch instead of routing every
         # record through a dedicated batcher process — one store round
         # trip less per record on the hot path.
-        self._batch: list[RecordRef] = []
+        self._batch: list[int] = []
         self._finished_mappers = 0
         self._fsm_readers: list[_FusedReader] = []
         self._fsm_mappers: list[_FusedMapper] = []
@@ -630,7 +619,7 @@ class EpochPipeline:
             self.prefetch._items.append(_SENTINEL)
             self.prefetch._drain()
 
-    def next_batch(self) -> Generator[Any, Any, list[RecordRef] | None]:
+    def next_batch(self) -> Generator[Any, Any, list[int] | None]:
         """Get the next batch, or ``None`` at end of epoch.
 
         Re-raises any error that killed a stage (e.g. cache overflow)

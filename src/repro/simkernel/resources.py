@@ -17,7 +17,7 @@ All primitives are strictly FIFO so simulations stay deterministic.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Generator
+from collections.abc import Generator, Sequence
 from heapq import heappush
 from typing import Any
 
@@ -495,7 +495,7 @@ class Store:
             self._drain()
         return True
 
-    def put_many(self, items: list[Any]) -> Event:
+    def put_many(self, items: Sequence[Any]) -> Event:
         """Event firing once the *last* of ``items`` has been accepted.
 
         Items enter the buffer FIFO exactly as back-to-back :meth:`put`

@@ -58,17 +58,21 @@ def _read_requests(
     off_rng: np.random.Generator,
     job: str = "",
 ) -> list[TraceRequest]:
-    """Reads at ``ts`` against popularity-ranked files, uniform offsets."""
+    """Reads at ``ts`` against popularity-ranked files, uniform offsets.
+
+    Every field is computed as a column; the requests are built from the
+    columns' Python values, so a trace holds no numpy scalars.
+    """
     u = off_rng.random(len(ts))
-    out = []
-    for t, rank, frac in zip(ts, ranks, u):
-        idx = int(order[rank])
-        size = int(sizes[idx])
-        nbytes = min(read_bytes, size)
-        offset = int(frac * (size - nbytes + 1))
-        out.append(TraceRequest(t=float(t), kind="read", file_index=idx,
-                                offset=offset, nbytes=nbytes, job=job))
-    return out
+    idx = order[ranks]
+    size = np.asarray(sizes, dtype=np.int64)[idx]
+    nbytes = np.minimum(size, read_bytes)
+    # int() truncates, as the cast does: every product is non-negative
+    offset = (u * (size - nbytes + 1)).astype(np.int64)
+    return [
+        TraceRequest(t=t, kind="read", file_index=i, offset=o, nbytes=n, job=job)
+        for t, i, o, n in zip(ts.tolist(), idx.tolist(), offset.tolist(), nbytes.tolist())
+    ]
 
 
 def _gen_zipf(spec: WorkloadSpec, sizes: Sequence[int], scale: float,
@@ -108,18 +112,19 @@ def _gen_diurnal(spec: WorkloadSpec, sizes: Sequence[int], scale: float,
     lam_max = mean_rate * (1.0 + amp)
     arr_rng = rngs.stream("workload-arrivals")
 
-    cand: list[float] = []
+    pieces: list[np.ndarray] = []
     t = 0.0
-    # draw candidate gaps in deterministic chunks until past the horizon
+    # Draw candidate gaps in deterministic chunks until past the horizon.
+    # Seeding the running sum with the carried ``t`` keeps every addition
+    # in the same sequential order as adding the gaps one by one.
     while t < spec.duration_s:
         chunk = arr_rng.exponential(1.0 / lam_max,
                                     size=max(64, int(lam_max * spec.duration_s / 4)))
-        for g in chunk:
-            t += float(g)
-            if t >= spec.duration_s:
-                break
-            cand.append(t)
-    cand_arr = np.array(cand, dtype=np.float64)
+        arrivals = np.add.accumulate(np.concatenate(([t], chunk)))[1:]
+        inside = int(np.searchsorted(arrivals, spec.duration_s, side="left"))
+        pieces.append(arrivals[:inside])
+        t = float(arrivals[inside]) if inside < len(arrivals) else float(arrivals[-1])
+    cand_arr = np.concatenate(pieces)
     accept_p = (1.0 + amp * np.sin(2.0 * math.pi * cand_arr / spec.diurnal_period_s)) / (1.0 + amp)
     keep = rngs.stream("workload-thinning").random(len(cand_arr)) < accept_p
     ts = cand_arr[keep]

@@ -6,12 +6,19 @@ import pytest
 
 import io
 
-from hypothesis import given, settings
+import numpy as np
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.crc import crc32c, mask_crc, unmask_crc
 from repro.data.dataset import DatasetSpec, SampleSizeModel
-from repro.data.records import RecordReader, RecordWriter, record_frame_size
+from repro.data.records import (
+    RECORD_OVERHEAD,
+    RecordReader,
+    RecordWriter,
+    record_frame_size,
+)
 from repro.data.sharding import build_shards
 
 
@@ -74,3 +81,99 @@ def test_shard_packing_invariants(n_samples, mean, sigma, shard_target):
         # a shard only exceeds the target when a single record does
         assert shard.size_bytes <= shard_target or shard.n_records == 1
     assert manifest.total_bytes == sum(record_frame_size(int(x)) for x in sizes)
+
+
+def _greedy_reference(spec: DatasetSpec) -> list[tuple[str, list[tuple[int, int, int, int]]]]:
+    """The per-record packing loop ``build_shards`` replaced: the oracle.
+
+    Returns ``(filename, [(sample_id, offset, frame_len, payload_len)])``
+    per shard.
+    """
+    shards: list[list[tuple[int, int, int, int]]] = []
+    current: list[tuple[int, int, int, int]] = []
+    offset = 0
+    for sample_id, payload_len in enumerate(spec.sample_sizes()):
+        frame = record_frame_size(int(payload_len))
+        if current and offset + frame > spec.shard_target_bytes:
+            shards.append(current)
+            current = []
+            offset = 0
+        current.append((sample_id, offset, frame, int(payload_len)))
+        offset += frame
+    if current:
+        shards.append(current)
+    total = len(shards)
+    width = max(5, len(str(total)))
+    names = [f"train-{i:0{width}d}-of-{total:0{width}d}.tfrecord" for i in range(total)]
+    return list(zip(names, shards))
+
+
+def _columnar(spec: DatasetSpec) -> list[tuple[str, list[tuple[int, int, int, int]]]]:
+    out = []
+    for shard in build_shards(spec).shards:
+        recs = [(r.sample_id, r.offset, r.frame_len, r.payload_len) for r in shard.records]
+        assert shard.size_bytes == (recs[-1][1] + recs[-1][2])
+        out.append((shard.filename, recs))
+    return out
+
+
+def _spec(n_samples, mean, sigma, min_bytes, shard_target) -> DatasetSpec:
+    return DatasetSpec(
+        name="prop-columnar",
+        n_samples=n_samples,
+        size_model=SampleSizeModel(mean_bytes=mean, sigma=sigma, min_bytes=min_bytes),
+        shard_target_bytes=shard_target,
+    )
+
+
+@given(
+    n_samples=st.integers(min_value=1, max_value=400),
+    mean=st.integers(min_value=1, max_value=50_000),
+    sigma=st.floats(min_value=0.0, max_value=1.5),
+    min_bytes=st.integers(min_value=1, max_value=4096),
+    shard_target=st.integers(min_value=1, max_value=1 << 20),
+)
+# a single record, under and over the target
+@example(n_samples=1, mean=4096, sigma=0.0, min_bytes=1, shard_target=1 << 20)
+@example(n_samples=1, mean=4096, sigma=0.0, min_bytes=1, shard_target=100)
+# every record larger than the target: one record per shard
+@example(n_samples=50, mean=8000, sigma=0.5, min_bytes=4000, shard_target=1000)
+@settings(max_examples=60, deadline=None)
+def test_columnar_packing_matches_greedy_loop(n_samples, mean, sigma, min_bytes, shard_target):
+    """``build_shards`` packs exactly as the per-record greedy loop did."""
+    spec = _spec(n_samples, mean, sigma, min_bytes, shard_target)
+    assert _columnar(spec) == _greedy_reference(spec)
+
+
+@given(
+    n_samples=st.integers(min_value=2, max_value=300),
+    mean=st.integers(min_value=64, max_value=20_000),
+    sigma=st.floats(min_value=0.0, max_value=1.0),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_exact_fit_record_stays_in_its_shard(n_samples, mean, sigma, data):
+    """A record whose frame ends exactly at the target closes the shard."""
+    probe = _spec(n_samples, mean, sigma, 1, 1)
+    frames = np.cumsum(probe.sample_sizes() + RECORD_OVERHEAD)
+    k = data.draw(st.integers(min_value=1, max_value=n_samples - 1), label="records in shard 0")
+    spec = _spec(n_samples, mean, sigma, 1, int(frames[k - 1]))
+    columnar = _columnar(spec)
+    assert columnar == _greedy_reference(spec)
+    first = columnar[0][1]
+    assert len(first) == k
+    assert first[-1][1] + first[-1][2] == spec.shard_target_bytes
+
+
+@given(
+    n_samples=st.integers(min_value=1, max_value=300),
+    payload=st.integers(min_value=1, max_value=10_000),
+    per_shard=st.integers(min_value=1, max_value=20),
+)
+@settings(max_examples=30, deadline=None)
+def test_constant_sizes_fill_every_shard_exactly(n_samples, payload, per_shard):
+    """Equal records against a whole-frame target: every shard is exactly full."""
+    spec = _spec(n_samples, payload, 0.0, 1, per_shard * record_frame_size(payload))
+    columnar = _columnar(spec)
+    assert columnar == _greedy_reference(spec)
+    assert [len(recs) for _, recs in columnar[:-1]] == [per_shard] * (len(columnar) - 1)

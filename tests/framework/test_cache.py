@@ -48,6 +48,21 @@ class TestTFDataCache:
         assert all(s.path.startswith("/mnt/ssd/cache/") for s in redirected)
         assert [s.size for s in redirected] == [s.size for s in shards]
 
+    def test_redirection_shares_record_columns(self, mounts, tiny_manifest):
+        """Redirected shards reuse the originals' columns, never rebuild them."""
+        from repro.framework.pipeline import shards_from_manifest
+
+        cache = TFDataCache(mounts, "/mnt/ssd/cache")
+        shards = shards_from_manifest(
+            tiny_manifest, [f"/mnt/pfs/dataset/{s.filename}" for s in tiny_manifest.shards]
+        )
+        cache.finalize_epoch()
+        for _ in range(2):  # every cached epoch redirects afresh
+            for orig, redirected in zip(shards, cache.effective_shards(shards)):
+                assert redirected.path != orig.path
+                assert redirected.ends is orig.ends
+                assert redirected.payloads is orig.payloads
+
     def test_write_after_finalize_rejected(self, sim, mounts):
         cache = TFDataCache(mounts, "/mnt/ssd/cache")
         cache.finalize_epoch()

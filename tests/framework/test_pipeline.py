@@ -9,7 +9,6 @@ from repro.framework.io_layer import OpenFile
 from repro.framework.pipeline import (
     EpochPipeline,
     PipelineConfig,
-    RecordRef,
     shards_from_manifest,
 )
 
@@ -79,7 +78,8 @@ class TestEpochPipeline:
         batches = run_epoch(sim, pipe)
         records = [r for b in batches for r in b]
         assert len(records) == 96
-        assert sorted(r.sample_id for r in records) == list(range(96))
+        # a record travels as its payload length
+        assert sorted(records) == sorted(p for s in pfs_shards for p in s.payloads)
 
     def test_batch_sizes(self, sim, small_config, pfs_shards, posix_reader,
                          node, fast_model, shuffle_rng):
@@ -209,7 +209,3 @@ class TestEpochPipeline:
         assert log == ["closed"] * small_config.cycle_length
         assert sim.now == 1.0
 
-    def test_record_ref_fields(self):
-        r = RecordRef(sample_id=3, payload_len=100)
-        assert r.sample_id == 3
-        assert r.payload_len == 100

@@ -1,18 +1,23 @@
 """Profile a kernel probe cell under cProfile.
 
-Runs the same contended cells as ``benchmarks/test_kernel_speed.py``
-(scenario build excluded) and prints the top cumulative-time functions —
-the first stop when events/sec regresses.  ``--setup`` picks the cell:
-``vanilla-lustre`` (the historical probe), ``monarch`` (the middleware
-fused-read path that dominates figure grids) or ``monarch-p2p`` (the
-peer-cache cluster cell, run distributed on 3 nodes).  ``--workload``
-profiles a trace-replay serving cell instead of training (on ``monarch``
-unless ``--setup`` says otherwise).  Usage::
+Runs the same contended cells as ``benchmarks/test_kernel_speed.py`` and
+prints the top cumulative-time functions — the first stop when
+events/sec regresses.  ``--setup`` picks the cell: ``vanilla-lustre``
+(the historical probe), ``monarch`` (the middleware fused-read path that
+dominates figure grids) or ``monarch-p2p`` (the peer-cache cluster cell,
+run distributed on 3 nodes).  ``--workload`` profiles a trace-replay
+serving cell instead of training (on ``monarch`` unless ``--setup`` says
+otherwise).  ``--phase`` picks what is profiled: ``execute`` (the
+default) runs the built cell, scenario build excluded; ``build``
+profiles the scenario build itself — ``build_run`` or ``build_cluster``,
+dataset layout and trace generation included — and does not execute.
+Usage::
 
     make profile-kernel                          # vanilla, 1/128, top 20
     python tools/profile_kernel.py --setup monarch --scale 1/64 --top 30
     python tools/profile_kernel.py --setup monarch-p2p
     python tools/profile_kernel.py --workload serve-zipf --sort tottime
+    python tools/profile_kernel.py --workload serve-zipf --phase build
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import cProfile
 import pstats
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -36,7 +42,7 @@ P2P_NODES = 3
 
 
 def _single_probe(setup: str, scale: float, workload: str | None = None):
-    """(execute thunk, sim) for a single-node cell (serving if ``workload``)."""
+    """Build a single-node cell (serving if ``workload``): (execute thunk, sim)."""
     handle = build_run(
         setup, "resnet50", IMAGENET_100G, DEFAULT_CALIBRATION,
         scale=scale, seed=0,
@@ -46,7 +52,7 @@ def _single_probe(setup: str, scale: float, workload: str | None = None):
 
 
 def _p2p_probe(scale: float):
-    """(execute thunk, sim) for the peer-cache cluster cell."""
+    """Build the peer-cache cluster cell: (execute thunk, sim)."""
     from repro.distributed.cluster import ClusterSpec, build_cluster
     from repro.distributed.trainer import DistributedTrainer
     from repro.framework.models import MODELS
@@ -89,6 +95,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="simulation scale (fraction, default 1/128)")
     parser.add_argument("--top", type=int, default=20,
                         help="number of functions to print (default 20)")
+    parser.add_argument("--phase", default="execute", choices=("execute", "build"),
+                        help="profile the cell's execution (default) or its "
+                             "scenario build")
     parser.add_argument("--sort", default="cumulative",
                         choices=("cumulative", "tottime", "ncalls"),
                         help="pstats sort key (default cumulative)")
@@ -99,18 +108,25 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--workload needs a serving setup, one of {SERVE_SETUPS}")
 
     if setup == "monarch-p2p":
-        execute, sim = _p2p_probe(scale)
+        build = partial(_p2p_probe, scale)
         label = f"monarch-p2p/resnet50 x{P2P_NODES}"
     else:
-        execute, sim = _single_probe(setup, scale, args.workload)
+        build = partial(_single_probe, setup, scale, args.workload)
         label = f"{setup}/{args.workload or 'resnet50'}"
     profiler = cProfile.Profile()
-    profiler.enable()
-    execute()
-    profiler.disable()
-
-    print(f"probe: {label} scale={args.scale} "
-          f"({sim.events_processed} dispatch slots)")
+    if args.phase == "build":
+        build()  # warm-up: lazy imports and one-time caches stay out of the profile
+        profiler.enable()
+        build()
+        profiler.disable()
+        print(f"probe: {label} scale={args.scale} (scenario build)")
+    else:
+        execute, sim = build()
+        profiler.enable()
+        execute()
+        profiler.disable()
+        print(f"probe: {label} scale={args.scale} "
+              f"({sim.events_processed} dispatch slots)")
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort).print_stats(args.top)
     return 0
