@@ -123,7 +123,7 @@ def _gen_diurnal(spec: WorkloadSpec, sizes: Sequence[int], scale: float,
         arrivals = np.add.accumulate(np.concatenate(([t], chunk)))[1:]
         inside = int(np.searchsorted(arrivals, spec.duration_s, side="left"))
         pieces.append(arrivals[:inside])
-        t = float(arrivals[inside]) if inside < len(arrivals) else float(arrivals[-1])
+        t = float(arrivals[min(inside, len(arrivals) - 1)])
     cand_arr = np.concatenate(pieces)
     accept_p = (1.0 + amp * np.sin(2.0 * math.pi * cand_arr / spec.diurnal_period_s)) / (1.0 + amp)
     keep = rngs.stream("workload-thinning").random(len(cand_arr)) < accept_p
