@@ -113,29 +113,30 @@ def build_shards(spec: DatasetSpec, name_prefix: str = "train") -> ShardManifest
     *training-time* order is the framework's shuffle, not this one).  A
     shard takes every next record whose frame still ends within the
     target, and at least one, so a record larger than the target ships
-    alone: with the frame ends of the whole dataset as one running sum,
+    alone: with the frame offsets of the whole dataset as one running sum,
     each shard boundary is a single binary search.
     """
     payload = spec.sample_sizes()
-    ends = np.cumsum(payload + RECORD_OVERHEAD)
+    # offset of each record's frame in the dataset laid end to end, plus
+    # the end of the last one
+    starts = np.concatenate(([0], np.cumsum(payload + RECORD_OVERHEAD)))
     target = spec.shard_target_bytes
     bounds = [0]
     n = len(payload)
     while bounds[-1] < n:
         first = bounds[-1]
-        base = int(ends[first - 1]) if first else 0
-        fit = int(np.searchsorted(ends, base + target, side="right"))
-        bounds.append(max(first + 1, fit))
+        # records first..stop-1 are those whose frames end by the target
+        stop = int(np.searchsorted(starts, starts[first] + target, side="right")) - 1
+        bounds.append(max(first + 1, stop))
     total = len(bounds) - 1
     width = max(5, len(str(total)))
     manifest = ShardManifest(spec=spec)
     for i, (first, stop) in enumerate(zip(bounds, bounds[1:])):
-        base = int(ends[first - 1]) if first else 0
         manifest.shards.append(
             ShardLayout(
                 filename=f"{name_prefix}-{i:0{width}d}-of-{total:0{width}d}.tfrecord",
                 payload=payload[first:stop],
-                ends=ends[first:stop] - base,
+                ends=starts[first + 1 : stop + 1] - starts[first],
                 first_id=first,
             )
         )

@@ -138,6 +138,8 @@ def _spec(n_samples, mean, sigma, min_bytes, shard_target) -> DatasetSpec:
 @example(n_samples=1, mean=4096, sigma=0.0, min_bytes=1, shard_target=100)
 # every record larger than the target: one record per shard
 @example(n_samples=50, mean=8000, sigma=0.5, min_bytes=4000, shard_target=1000)
+# equal records against a whole-frame target: every shard exactly full
+@example(n_samples=100, mean=4096, sigma=0.0, min_bytes=1, shard_target=7 * 4112)
 @settings(max_examples=60, deadline=None)
 def test_columnar_packing_matches_greedy_loop(n_samples, mean, sigma, min_bytes, shard_target):
     """``build_shards`` packs exactly as the per-record greedy loop did."""
@@ -163,17 +165,3 @@ def test_exact_fit_record_stays_in_its_shard(n_samples, mean, sigma, data):
     first = columnar[0][1]
     assert len(first) == k
     assert first[-1][1] + first[-1][2] == spec.shard_target_bytes
-
-
-@given(
-    n_samples=st.integers(min_value=1, max_value=300),
-    payload=st.integers(min_value=1, max_value=10_000),
-    per_shard=st.integers(min_value=1, max_value=20),
-)
-@settings(max_examples=30, deadline=None)
-def test_constant_sizes_fill_every_shard_exactly(n_samples, payload, per_shard):
-    """Equal records against a whole-frame target: every shard is exactly full."""
-    spec = _spec(n_samples, payload, 0.0, 1, per_shard * record_frame_size(payload))
-    columnar = _columnar(spec)
-    assert columnar == _greedy_reference(spec)
-    assert [len(recs) for _, recs in columnar[:-1]] == [per_shard] * (len(columnar) - 1)
