@@ -6,19 +6,12 @@ import pytest
 
 import io
 
-import numpy as np
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.crc import crc32c, mask_crc, unmask_crc
 from repro.data.dataset import DatasetSpec, SampleSizeModel
-from repro.data.records import (
-    RECORD_OVERHEAD,
-    RecordReader,
-    RecordWriter,
-    record_frame_size,
-)
+from repro.data.records import RecordReader, RecordWriter, record_frame_size
 from repro.data.sharding import build_shards
 
 
@@ -49,38 +42,6 @@ def test_crc_mask_is_a_bijection(value):
 def test_crc_incremental_composition(data, split):
     split = min(split, len(data))
     assert crc32c(data[split:], crc32c(data[:split])) == crc32c(data)
-
-
-@given(
-    n_samples=st.integers(min_value=1, max_value=500),
-    mean=st.integers(min_value=64, max_value=50_000),
-    sigma=st.floats(min_value=0.0, max_value=1.0),
-    shard_target=st.integers(min_value=256, max_value=1 << 20),
-)
-@settings(max_examples=40, deadline=None)
-def test_shard_packing_invariants(n_samples, mean, sigma, shard_target):
-    """Packing never loses/duplicates samples; shard sizes obey the target."""
-    spec = DatasetSpec(
-        name="prop",
-        n_samples=n_samples,
-        size_model=SampleSizeModel(mean_bytes=mean, sigma=sigma, min_bytes=1),
-        shard_target_bytes=shard_target,
-    )
-    manifest = build_shards(spec)
-    ids = [r.sample_id for s in manifest.shards for r in s.records]
-    assert sorted(ids) == list(range(n_samples))
-    sizes = spec.sample_sizes()
-    for shard in manifest.shards:
-        assert shard.n_records >= 1
-        pos = 0
-        for rec in shard.records:
-            assert rec.offset == pos
-            assert rec.payload_len == int(sizes[rec.sample_id])
-            assert rec.frame_len == record_frame_size(rec.payload_len)
-            pos += rec.frame_len
-        # a shard only exceeds the target when a single record does
-        assert shard.size_bytes <= shard_target or shard.n_records == 1
-    assert manifest.total_bytes == sum(record_frame_size(int(x)) for x in sizes)
 
 
 def _greedy_reference(spec: DatasetSpec) -> list[tuple[str, list[tuple[int, int, int, int]]]]:
@@ -117,17 +78,8 @@ def _columnar(spec: DatasetSpec) -> list[tuple[str, list[tuple[int, int, int, in
     return out
 
 
-def _spec(n_samples, mean, sigma, min_bytes, shard_target) -> DatasetSpec:
-    return DatasetSpec(
-        name="prop-columnar",
-        n_samples=n_samples,
-        size_model=SampleSizeModel(mean_bytes=mean, sigma=sigma, min_bytes=min_bytes),
-        shard_target_bytes=shard_target,
-    )
-
-
 @given(
-    n_samples=st.integers(min_value=1, max_value=400),
+    n_samples=st.integers(min_value=1, max_value=500),
     mean=st.integers(min_value=1, max_value=50_000),
     sigma=st.floats(min_value=0.0, max_value=1.5),
     min_bytes=st.integers(min_value=1, max_value=4096),
@@ -138,30 +90,32 @@ def _spec(n_samples, mean, sigma, min_bytes, shard_target) -> DatasetSpec:
 @example(n_samples=1, mean=4096, sigma=0.0, min_bytes=1, shard_target=100)
 # every record larger than the target: one record per shard
 @example(n_samples=50, mean=8000, sigma=0.5, min_bytes=4000, shard_target=1000)
-# equal records against a whole-frame target: every shard exactly full
+# equal records against a whole-frame target: offset + frame == target
+# closes every shard, and that last record stays in it
 @example(n_samples=100, mean=4096, sigma=0.0, min_bytes=1, shard_target=7 * 4112)
 @settings(max_examples=60, deadline=None)
-def test_columnar_packing_matches_greedy_loop(n_samples, mean, sigma, min_bytes, shard_target):
-    """``build_shards`` packs exactly as the per-record greedy loop did."""
-    spec = _spec(n_samples, mean, sigma, min_bytes, shard_target)
+def test_shard_packing_invariants(n_samples, mean, sigma, min_bytes, shard_target):
+    """Packing never loses/duplicates samples; shard sizes obey the target;
+    the columnar build packs exactly as the per-record greedy loop did."""
+    spec = DatasetSpec(
+        name="prop",
+        n_samples=n_samples,
+        size_model=SampleSizeModel(mean_bytes=mean, sigma=sigma, min_bytes=min_bytes),
+        shard_target_bytes=shard_target,
+    )
     assert _columnar(spec) == _greedy_reference(spec)
-
-
-@given(
-    n_samples=st.integers(min_value=2, max_value=300),
-    mean=st.integers(min_value=64, max_value=20_000),
-    sigma=st.floats(min_value=0.0, max_value=1.0),
-    data=st.data(),
-)
-@settings(max_examples=40, deadline=None)
-def test_exact_fit_record_stays_in_its_shard(n_samples, mean, sigma, data):
-    """A record whose frame ends exactly at the target closes the shard."""
-    probe = _spec(n_samples, mean, sigma, 1, 1)
-    frames = np.cumsum(probe.sample_sizes() + RECORD_OVERHEAD)
-    k = data.draw(st.integers(min_value=1, max_value=n_samples - 1), label="records in shard 0")
-    spec = _spec(n_samples, mean, sigma, 1, int(frames[k - 1]))
-    columnar = _columnar(spec)
-    assert columnar == _greedy_reference(spec)
-    first = columnar[0][1]
-    assert len(first) == k
-    assert first[-1][1] + first[-1][2] == spec.shard_target_bytes
+    manifest = build_shards(spec)
+    ids = [r.sample_id for s in manifest.shards for r in s.records]
+    assert sorted(ids) == list(range(n_samples))
+    sizes = spec.sample_sizes()
+    for shard in manifest.shards:
+        assert shard.n_records >= 1
+        pos = 0
+        for rec in shard.records:
+            assert rec.offset == pos
+            assert rec.payload_len == int(sizes[rec.sample_id])
+            assert rec.frame_len == record_frame_size(rec.payload_len)
+            pos += rec.frame_len
+        # a shard only exceeds the target when a single record does
+        assert shard.size_bytes <= shard_target or shard.n_records == 1
+    assert manifest.total_bytes == sum(record_frame_size(int(x)) for x in sizes)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data.dataset import DatasetSpec, SampleSizeModel
+from repro.data.sharding import build_shards
 from repro.data.virtual import materialize
 from repro.framework.io_layer import PosixReader
 from repro.framework.pipeline import PipelineConfig, shards_from_manifest
@@ -29,6 +31,25 @@ def pfs_shards(sim, pfs, tiny_manifest):
     """The tiny dataset materialized on the PFS, as pipeline ShardInfos."""
     paths = materialize(tiny_manifest, pfs, "/dataset")
     return shards_from_manifest(tiny_manifest, ["/mnt/pfs" + p for p in paths])
+
+
+@pytest.fixture
+def distinct_shards(sim, pfs):
+    """96 records with pairwise-distinct payload lengths, on the PFS.
+
+    A record travels the pipeline as its payload length, so distinct
+    lengths let a test tell a duplicated record from a skipped one.
+    """
+    spec = DatasetSpec(
+        name="distinct",
+        n_samples=96,
+        size_model=SampleSizeModel(mean_bytes=8192, sigma=0.3),
+        shard_target_bytes=12 * (8192 + 16),
+    )
+    manifest = build_shards(spec)
+    assert len({p for s in manifest.shards for p in s.payload.tolist()}) == 96
+    paths = materialize(manifest, pfs, "/dataset")
+    return shards_from_manifest(manifest, ["/mnt/pfs" + p for p in paths])
 
 
 @pytest.fixture

@@ -71,15 +71,16 @@ class TestShardsFromManifest:
 
 
 class TestEpochPipeline:
-    def test_delivers_every_record_once(self, sim, small_config, pfs_shards,
+    def test_delivers_every_record_once(self, sim, small_config, distinct_shards,
                                          posix_reader, node, fast_model, shuffle_rng):
-        pipe = EpochPipeline(sim, small_config, pfs_shards, posix_reader, node,
+        pipe = EpochPipeline(sim, small_config, distinct_shards, posix_reader, node,
                              fast_model, shuffle_rng)
         batches = run_epoch(sim, pipe)
         records = [r for b in batches for r in b]
         assert len(records) == 96
-        # a record travels as its payload length
-        assert sorted(records) == sorted(p for s in pfs_shards for p in s.payloads)
+        # a record travels as its payload length; the lengths are distinct,
+        # so equal multisets mean no record was duplicated or skipped
+        assert sorted(records) == sorted(p for s in distinct_shards for p in s.payloads)
 
     def test_batch_sizes(self, sim, small_config, pfs_shards, posix_reader,
                          node, fast_model, shuffle_rng):

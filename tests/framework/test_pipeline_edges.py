@@ -101,12 +101,12 @@ class TestPipelineEdges:
 
 
 class TestPipelineProperty:
-    def test_record_conservation_across_random_configs(self, sim, pfs,
-                                                       posix_reader, node,
-                                                       fast_model, small_config,
-                                                       tiny_spec):
+    def test_record_conservation_across_random_configs(self, sim, posix_reader,
+                                                       node, fast_model,
+                                                       small_config,
+                                                       distinct_shards):
         """Any (cycle, mappers, batch, chunk) combo delivers each record once."""
-        shards = stage(sim, pfs, tiny_spec)
+        shards = distinct_shards
         rng = np.random.default_rng(0)
         for _ in range(6):
             cfg = replace(
