@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from benchmarks.conftest import run_in_benchmark
 from repro.experiments.figures import PAPER_TOTALS_100G, fig3, render_grid
-from repro.experiments.runner import run_once
-from repro.data.imagenet import IMAGENET_100G
 from repro.telemetry.runreport import RunReport
 
 
@@ -76,24 +74,3 @@ def test_fig3_monarch_100g(benchmark, bench_scale, bench_runs, tmp_path):
         RunReport.from_dict(grid[("lenet", "monarch")].runs[0].report).to_json()
     )
     print(f"RunReport artifact: {artifact}")
-
-
-def test_fig3_report_bit_identical_with_bulk_disabled(monkeypatch):
-    """The bulk-I/O escape hatch must not change the exported report.
-
-    Placement bookkeeping lands once at copy completion on both paths, so
-    the traced byte totals — and with them the whole serialized report —
-    must come out byte-identical with ``REPRO_DISABLE_BULK_IO`` set."""
-    def one() -> str:
-        rec = run_once(
-            "monarch", "lenet", IMAGENET_100G, scale=1 / 1024, seed=3, report=True
-        )
-        rep = RunReport.from_dict(rec.report)
-        _check_report_consistency(rep)
-        return rep.to_json()
-
-    monkeypatch.delenv("REPRO_DISABLE_BULK_IO", raising=False)
-    with_bulk = one()
-    monkeypatch.setenv("REPRO_DISABLE_BULK_IO", "1")
-    without_bulk = one()
-    assert with_bulk == without_bulk

@@ -7,7 +7,6 @@ evaluation uses 6), and the copy chunking used for background fetches.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.storage.blockmath import MIB
@@ -55,10 +54,6 @@ class MonarchConfig:
     #: or "predictor" (epoch-1-observing admission with eager placement);
     #: see :mod:`repro.core.policy`
     policy: str = "firstfit"
-    #: use the analytic bulk-transfer fast path for background copies.
-    #: Purely an execution strategy: simulated results are identical with
-    #: it off (the ``REPRO_DISABLE_BULK_IO=1`` escape hatch forces that).
-    bulk_io: bool = True
     #: transient-fault retries for a background copy before it gives up
     copy_retries: int = 3
     #: transient-fault retries for a PFS (last-resort) read before the
@@ -70,12 +65,6 @@ class MonarchConfig:
     quarantine_threshold: int = 3
     #: cooldown before a quarantined tier is probed for re-admission
     probe_interval_s: float = 1.0
-
-    def bulk_io_enabled(self) -> bool:
-        """Effective bulk-I/O setting, honouring ``REPRO_DISABLE_BULK_IO``."""
-        if os.environ.get("REPRO_DISABLE_BULK_IO", "").strip().lower() in ("1", "true", "yes"):
-            return False
-        return self.bulk_io
 
     def __post_init__(self) -> None:
         if len(self.tiers) < 2:

@@ -141,7 +141,6 @@ class Monarch:
             eviction=make_eviction_policy(config.eviction, rng),
             policy=policy,
             rng=rng,
-            bulk_io=config.bulk_io_enabled(),
             copy_retries=config.copy_retries,
             retry_backoff_s=config.retry_backoff_s,
             recorder=self.recorder,

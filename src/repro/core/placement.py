@@ -45,7 +45,6 @@ from repro.core.hierarchy import StorageHierarchy
 from repro.core.metadata import FileInfo, FileState, MetadataContainer
 from repro.core.tenancy import FairShareArbiter
 from repro.simkernel.monitor import TagAccounting
-from repro.simkernel.bulk import hold_series
 from repro.simkernel.core import Process, Simulator
 from repro.simkernel.resources import Store
 from repro.storage.base import IOFaultError, NoSpaceError, TierFailedError
@@ -264,7 +263,6 @@ class PlacementHandler:
         eviction: EvictionPolicy | None = None,
         policy=None,
         rng: np.random.Generator | None = None,
-        bulk_io: bool = True,
         copy_retries: int = 3,
         retry_backoff_s: float = 0.01,
         recorder=None,
@@ -291,7 +289,6 @@ class PlacementHandler:
             policy = FirstFitPolicy(self.eviction)
         self.policy = policy
         self.policy.bind(self)
-        self.bulk_io = bulk_io
         self.copy_retries = copy_retries
         self.retry_backoff_s = retry_backoff_s
         self._rng = rng if rng is not None else np.random.default_rng(0)
@@ -579,8 +576,8 @@ class PlacementHandler:
     # -- pool workers -----------------------------------------------------------
     def _enqueue(self, task: _CopyTask) -> None:
         # Every task gets a private jitter substream, *spawned* (never
-        # drawn) off the handler stream: spawn order — hence every copy's
-        # jitter — is identical whether or not bulk I/O is enabled.
+        # drawn) off the handler stream: a copy's jitter depends only on
+        # its enqueue order, not on how copies interleave on the devices.
         task.rng = self._rng.spawn(1)[0]
         self._outstanding += 1
         # The Store carries wake-up tokens; the tasks themselves sit in
@@ -775,17 +772,14 @@ class PlacementHandler:
             self.recorder.emit("copy.gave_up", info.name, level=level)
 
     def _copy_full(self, task: _CopyTask) -> Generator[Any, Any, None]:
-        """Copy a whole file to its target tier as one chunk train.
+        """Copy a whole file to its target tier, chunk by chunk.
 
-        The transfer is planned up front as an alternating read-chunk /
-        write-chunk schedule and executed through
-        :func:`~repro.simkernel.bulk.hold_series`: while the OSTs and the
-        target device channel are idle the whole train occupies them with
-        a *single* event, and the moment anything else wants a channel the
-        remainder degrades to exact per-chunk execution.  Bookkeeping side
-        effects (tier growth, page-cache residency, I/O counters) land
-        once at completion in *both* modes, so ``REPRO_DISABLE_BULK_IO=1``
-        replays the identical simulation, event for event.
+        Each chunk is a read leg on the OST serving it (skipped when the
+        framework already read the content) followed by a write leg on
+        the target device's channel.  Jitter is pre-drawn from the task's
+        private substream; a read leg's service time is taken at its
+        start instant.  Bookkeeping side effects (tier growth, page-cache
+        residency, I/O counters) land once at completion.
         """
         info = task.info
         driver = self.hierarchy[task.target_level]
@@ -798,8 +792,7 @@ class PlacementHandler:
         aligned = True
         if fetching and isinstance(pfs_fs, ParallelFileSystem):
             stripe = pfs_fs.config.stripe_size
-            # Sub-stripe alignment keeps every read leg on a single OST,
-            # which is what makes the train linear (one resource per leg).
+            # Sub-stripe alignment keeps every read leg on a single OST.
             aligned = chunk <= stripe and stripe % chunk == 0
         if (
             not isinstance(local_fs, LocalFileSystem)
@@ -831,61 +824,24 @@ class PlacementHandler:
             jit_r = pfs_fs.rng is not None and sigma_r > 0.0 and rng is not None
             pfs_path = pfs_driver.local_path(info.name)
         n_chunks = -(-size // chunk)
-        # Jitters are pre-drawn in chunk order from the task's private
-        # substream: the same draws land whichever way the train executes.
+        # All read-leg draws first, then all write-leg draws, in chunk
+        # order: the draw order is part of every pinned record.
         z_read = [rng.normal(0.0, sigma_r) for _ in range(n_chunks)] if jit_r else []
         z_write = [rng.normal(0.0, sigma_w) for _ in range(n_chunks)] if jit_w else []
 
-        # A time-varying interference model without lookahead support
-        # cannot be queried at future instants, so read-leg times can only
-        # be computed at execution time (per chunk).
-        use_bulk = self.bulk_io and (not fetching or pfs_fs.bulk_capable)
-        steps: list[tuple[bool, int, int]] = []  # (is_read, chunk index, nbytes)
-        schedule: list[tuple[Any, float]] = []
-        acc = self.sim.now
         pos = 0
-        i = 0
-        while pos < size:
+        for i in range(n_chunks):
             take = min(chunk, size - pos)
             if fetching:
-                t_r = 0.0
-                if use_bulk:
-                    t_r = pfs_fs.base_time(take, False, True, at=acc)
-                    if jit_r:
-                        t_r *= jitter_from_normal(z_read[i])
-                schedule.append((pfs_fs.ost_for(pfs_path, pos), t_r))
-                steps.append((True, i, take))
-                acc += t_r
+                t_r = pfs_fs.base_time(take, False, True)
+                if jit_r:
+                    t_r *= jitter_from_normal(z_read[i])
+                yield from pfs_fs.ost_for(pfs_path, pos).using(t_r)
             t_w = device.write_time(take)
             if jit_w:
                 t_w *= jitter_from_normal(z_write[i])
-            schedule.append((write_ch, t_w))
-            steps.append((False, i, take))
-            acc += t_w
+            yield from write_ch.using(t_w)
             pos += take
-            i += 1
-
-        def chunk_exec(j: int) -> Generator[Any, Any, None]:
-            is_read, ci, nbytes = steps[j]
-            res = schedule[j][0]
-            if is_read:
-                t = pfs_fs.base_time(nbytes, False, True)
-                if jit_r:
-                    t *= jitter_from_normal(z_read[ci])
-                yield from res.using(t)
-            else:
-                yield from res.using(schedule[j][1])
-
-        if use_bulk:
-            # Read legs depend on interference at their start instant, so
-            # a delayed start invalidates the plan (shiftable only when
-            # the train is writes-only).
-            yield from hold_series(
-                self.sim, schedule, chunk_exec=chunk_exec, shiftable=not fetching
-            )
-        else:
-            for j in range(len(schedule)):
-                yield from chunk_exec(j)
 
         if fetching:
             pfs_fs.stats.record_reads(n_chunks, size)

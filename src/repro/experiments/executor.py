@@ -68,11 +68,9 @@ __all__ = [
 #: on-disk entry layout version; bump when the payload schema changes
 CACHE_FORMAT = 1
 
-#: environment knobs that select a different execution path for the same
-#: spec; captured into the cache key so an env flip cannot serve a stale
-#: record (REPRO_DISABLE_BULK_IO is asserted bit-identical elsewhere, but
-#: the cache does not get to *assume* that)
-_ENV_KEYS = ("REPRO_DISABLE_BULK_IO", "REPRO_FAULT_PLAN")
+#: environment knobs that change what the same spec simulates; captured
+#: into the cache key so an env flip cannot serve a stale record
+_ENV_KEYS = ("REPRO_FAULT_PLAN",)
 
 
 # -- spec ------------------------------------------------------------------

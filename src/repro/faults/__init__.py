@@ -9,8 +9,7 @@ fallback, copy retry, quarantine/re-admission) lives in
 :mod:`repro.core`; this package only produces the failures.
 
 Everything is driven by a dedicated ``"faults"`` RNG stream, so a given
-(seed, plan) pair replays the exact same fault sequence — including
-bit-identical runs with ``REPRO_DISABLE_BULK_IO`` on or off.
+(seed, plan) pair replays the exact same fault sequence.
 """
 
 from repro.faults.injector import FaultInjector, FaultyDevice, FaultyFileSystem, TierFaultState

@@ -20,11 +20,10 @@ Determinism contract:
   inner op completes, using the simulator's pooled timeout events.
 
 The file-system proxy is deliberately *not* a ``LocalFileSystem`` /
-``ParallelFileSystem`` subclass: the placement handler's analytic bulk
-fast path requires those concrete types and falls back to exact per-chunk
-execution otherwise, which guarantees every copy byte passes through the
-proxy — and makes faulted runs trivially bit-identical with
-``REPRO_DISABLE_BULK_IO`` on or off.
+``ParallelFileSystem`` subclass: the placement handler times whole-file
+copies itself only over those concrete types and falls back to one
+``pread``/``pwrite`` per chunk otherwise, which guarantees every copy
+byte passes through the proxy.
 """
 
 from __future__ import annotations
@@ -233,92 +232,16 @@ class FaultyFileSystem(_FaultProxy):
         n = yield from self._stretched(self._inner.pwrite(handle, offset, nbytes))
         return n
 
-    # -- bulk train ops ----------------------------------------------------
-    def _bulk(
-        self,
-        write: bool,
-        handle: FileHandle,
-        offset: int,
-        sizes: list[int],
-        *args: Any,
-        **kwargs: Any,
-    ) -> Generator[Any, Any, int]:
-        """Common bulk path: draw per chunk, run the surviving prefix.
-
-        Draws are made in chunk order (matching what a chunk-at-a-time
-        caller would consume from this mount's substream); the prefix
-        before the first fault executes and its bookkeeping lands, then
-        the fault surfaces — mirroring a chunk loop dying mid-train.
-        """
-        n_ok = len(sizes)
-        fault: Exception | None = None
-        for i in range(len(sizes)):
-            try:
-                self._state.check(write=write)
-            except (IOFaultError, NoSpaceError) as err:
-                n_ok, fault = i, err
-                break
-        total = 0
-        if n_ok > 0:
-            op = self._inner.pwrite_bulk if write else self._inner.pread_bulk
-            total = yield from self._stretched(
-                op(handle, offset, list(sizes[:n_ok]), *args, **kwargs)
-            )
-        if fault is not None:
-            raise fault
-        return total
-
-    def pread_bulk(
-        self, handle: FileHandle, offset: int, sizes: list[int], *args: Any, **kwargs: Any
-    ) -> Generator[Any, Any, int]:
-        n = yield from self._bulk(False, handle, offset, sizes, *args, **kwargs)
-        return n
-
-    def pwrite_bulk(
-        self, handle: FileHandle, offset: int, sizes: list[int], *args: Any, **kwargs: Any
-    ) -> Generator[Any, Any, int]:
-        n = yield from self._bulk(True, handle, offset, sizes, *args, **kwargs)
-        return n
-
 
 class FaultyDevice(_FaultProxy):
     """Device proxy: same schedule semantics at the block layer."""
 
-    def read(self, nbytes: int, *args: Any, **kwargs: Any) -> Generator[Any, Any, int]:
+    def read(self, nbytes: int) -> Generator[Any, Any, int]:
         self._state.check(write=False)
-        n = yield from self._stretched(self._inner.read(nbytes, *args, **kwargs))
+        n = yield from self._stretched(self._inner.read(nbytes))
         return n
 
-    def write(self, nbytes: int, *args: Any, **kwargs: Any) -> Generator[Any, Any, int]:
+    def write(self, nbytes: int) -> Generator[Any, Any, int]:
         self._state.check(write=True)
-        n = yield from self._stretched(self._inner.write(nbytes, *args, **kwargs))
+        n = yield from self._stretched(self._inner.write(nbytes))
         return n
-
-    def _bulk_sizes(self, write: bool, sizes: list[int]) -> tuple[int, Exception | None]:
-        n_ok = len(sizes)
-        fault: Exception | None = None
-        for i in range(len(sizes)):
-            try:
-                self._state.check(write=write)
-            except (IOFaultError, NoSpaceError) as err:
-                n_ok, fault = i, err
-                break
-        return n_ok, fault
-
-    def read_bulk(self, sizes: list[int], *args: Any, **kwargs: Any) -> Generator[Any, Any, int]:
-        n_ok, fault = self._bulk_sizes(False, sizes)
-        total = 0
-        if n_ok > 0:
-            total = yield from self._stretched(self._inner.read_bulk(list(sizes[:n_ok]), *args, **kwargs))
-        if fault is not None:
-            raise fault
-        return total
-
-    def write_bulk(self, sizes: list[int], *args: Any, **kwargs: Any) -> Generator[Any, Any, int]:
-        n_ok, fault = self._bulk_sizes(True, sizes)
-        total = 0
-        if n_ok > 0:
-            total = yield from self._stretched(self._inner.write_bulk(list(sizes[:n_ok]), *args, **kwargs))
-        if fault is not None:
-            raise fault
-        return total

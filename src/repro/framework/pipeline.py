@@ -435,7 +435,7 @@ class _FusedMapper:
         self._emit_from = 0
         self._got_sentinel = got_sentinel
         cpu = self.cpu
-        if cpu._in_use < cpu.capacity and not cpu._queue and not cpu._virtual_holds:
+        if cpu._in_use < cpu.capacity and not cpu._queue:
             # using()'s uncontended fast path, continuation-style: one
             # scheduled slot for the hold end, no generator in between.
             sim = self.pipe.sim

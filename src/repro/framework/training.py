@@ -160,7 +160,7 @@ class Trainer:
                 if batch is None:
                     break
                 t = step_time(len(batch), n_gpus)
-                if gpu._in_use == 0 and not gpu._queue and not gpu._virtual_holds:
+                if gpu._in_use == 0 and not gpu._queue:
                     # Fused fast path: the GPU group is private to this
                     # trainer, so the hold never contends; one timeout
                     # covers step + host post-processing, with the busy

@@ -435,9 +435,8 @@ class Simulator:
     def timeout_at(self, when: float, value: Any = None, name: str = "") -> Event:
         """An event that fires at absolute simulated time ``when``.
 
-        Used by the bulk-transfer fast path, where chunk boundaries are
-        pre-accumulated absolute times: re-deriving a delay from ``now``
-        would lose bit-identity with the chunk-by-chunk float accumulation.
+        Scheduling at an absolute instant avoids the rounding that
+        re-deriving a delay from ``now`` would introduce.
         """
         if when < self._now:
             raise ValueError(f"timeout_at({when}) is in the past (now={self._now})")

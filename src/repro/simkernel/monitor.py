@@ -104,12 +104,12 @@ class UtilizationMonitor:
         self._level = level
 
     def add_area(self, area: float) -> None:
-        """Credit pre-integrated busy area directly (bulk virtual holds).
+        """Credit pre-integrated busy area directly.
 
-        The bulk-transfer fast path occupies a channel without per-chunk
-        ``record`` calls; on completion (or preemption) it deposits the
-        exact ``level*dt`` area its virtual occupancy earned so that
-        :meth:`mean_level` / :meth:`utilization` match the per-chunk path.
+        A caller that occupies an uncontended resource without ``record``
+        calls (the trainer's fused GPU step) deposits the ``level*dt``
+        area the hold earned, so :meth:`mean_level` / :meth:`utilization`
+        match a recorded hold.
         """
         self._advance()
         self._area += area

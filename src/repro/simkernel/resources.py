@@ -137,18 +137,13 @@ class Resource:
         self._req_name = name + ".request"
         self._in_use = 0
         self._queue: deque[Event] = deque()
-        # Active bulk-transfer virtual holds (see repro.simkernel.bulk);
-        # empty except while a bulk stream occupies this resource.
-        self._virtual_holds: list[Any] = []
         # Free list of recycled _HoldEnd objects (see hold()).
         self._hold_pool: list[_HoldEnd] = []
         self.monitor = UtilizationMonitor(sim, capacity=capacity, name=name)
 
     @property
     def in_use(self) -> int:
-        """Number of currently held slots (bulk virtual holds included)."""
-        if self._virtual_holds:
-            return self._in_use + 1
+        """Number of currently held slots."""
         return self._in_use
 
     @property
@@ -156,17 +151,8 @@ class Resource:
         """Number of waiters not yet granted a slot."""
         return len(self._queue)
 
-    @property
-    def idle(self) -> bool:
-        """True when no slot is held, queued, or virtually held."""
-        return not (self._in_use or self._queue or self._virtual_holds)
-
     def request(self) -> Event:
         """Return an event that fires when a slot is granted."""
-        if self._virtual_holds:
-            # A bulk stream virtually occupies the channel: convert it to
-            # real chunk-level state before deciding this request's fate.
-            self._virtual_holds[0].materialize()
         ev = Event(self.sim, self._req_name)
         if self._in_use < self.capacity and not self._queue:
             self._grant(ev)
@@ -215,7 +201,7 @@ class Resource:
         hold timeout enters the event heap.  Grant/release instants are
         identical to the queued path, so simulated times do not change.
         """
-        if self._in_use < self.capacity and not self._queue and not self._virtual_holds:
+        if self._in_use < self.capacity and not self._queue:
             sim = self.sim
             m = self.monitor
             # Inlined monitor.record(+1)/record(-1): this pair runs once
@@ -276,7 +262,7 @@ class Resource:
             # add_callback(cb) on the result (pooled events always come
             # back with an empty callback list).
             ev.callbacks = [cb]
-        if self._in_use < self.capacity and not self._queue and not self._virtual_holds:
+        if self._in_use < self.capacity and not self._queue:
             # Uncontended: skip the grant slot entirely; schedule the end
             # directly (inlined monitor math as in using()'s fast path).
             m = self.monitor
@@ -294,10 +280,6 @@ class Resource:
             else:
                 sim._normal.append(ev)
             return ev
-        if self._virtual_holds:
-            # Convert the bulk stream's virtual occupancy to real state
-            # before deciding this hold's fate (mirrors request()).
-            self._virtual_holds[0].materialize()
         ev._phase = 0
         if self._in_use < self.capacity and not self._queue:
             self._grant(ev)
@@ -314,19 +296,6 @@ class Resource:
             ev._exc = None
             ev.callbacks = None
             self._hold_pool.append(ev)
-
-    def using_many(self, hold_times: list[float]) -> Generator[Event, Any, None]:
-        """Hold the resource for a serialized chunk train in O(1) events.
-
-        Equivalent to ``for t in hold_times: yield from self.using(t)`` —
-        bit-identically so, including under contention: when the channel is
-        busy (or another waiter arrives mid-stream) the bulk hold falls back
-        to / is preempted into the per-chunk path (see
-        :mod:`repro.simkernel.bulk`).
-        """
-        from repro.simkernel.bulk import hold_series
-
-        yield from hold_series(self.sim, [(self, t) for t in hold_times])
 
 
 class SimLock:

@@ -69,23 +69,20 @@ class JitterStream:
     list index.  Every consumer of the wrapped generator must draw
     through this stream, or the pre-buffering would reorder the stream
     against the scalar equivalent; that is why the owning backend keeps
-    exactly one stream per generator and routes both its factor draws
-    and its bulk raw-normal draws (:meth:`z`) here.
+    exactly one stream per generator and routes every draw here.
     """
 
-    __slots__ = ("rng", "sigma", "_zs", "_fs", "_i", "_block")
+    __slots__ = ("rng", "sigma", "_fs", "_i", "_block")
 
     def __init__(self, rng: np.random.Generator, sigma: float, block: int = 512) -> None:
         self.rng = rng
         self.sigma = sigma
-        self._zs: list[float] = []
         self._fs: list[float] = []
         self._i = 0
         self._block = block
 
     def _refill(self) -> None:
         zs = self.rng.normal(0.0, self.sigma, self._block)
-        self._zs = zs.tolist()
         self._fs = np.clip(np.exp(zs), 0.25, 4.0).tolist()
         self._i = 0
 
@@ -98,22 +95,13 @@ class JitterStream:
         self._i = i + 1
         return self._fs[i]
 
-    def z(self) -> float:
-        """Next raw sample — equals ``rng.normal(0.0, sigma)``."""
-        i = self._i
-        if i >= len(self._zs):
-            self._refill()
-            i = 0
-        self._i = i + 1
-        return self._zs[i]
-
 
 def jitter_from_normal(x: float) -> float:
     """The jitter factor for a pre-drawn ``normal(0, sigma)`` sample.
 
-    Split out of :func:`jitter_factor` so bulk-transfer planners can draw
-    the raw normals up front (preserving RNG stream order) and turn them
-    into factors later, bit-identically to the inline draw.
+    Split out of :func:`jitter_factor` so a copy task can draw a whole
+    file's raw normals up front (preserving RNG stream order) and turn
+    them into factors later, bit-identically to the inline draw.
     """
     f = float(np.exp(x))
     return min(max(f, 0.25), 4.0)

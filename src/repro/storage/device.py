@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.simkernel.core import Simulator
 from repro.simkernel.resources import Resource
-from repro.storage.blockmath import JitterStream, jitter_factor, mib_per_s, transfer_time
+from repro.storage.blockmath import JitterStream, mib_per_s, transfer_time
 
 __all__ = ["Device", "DeviceProfile", "SATA_SSD", "NVME_GEN3", "HDD_7200", "RAMDISK"]
 
@@ -130,78 +130,31 @@ class Device:
             self.profile.write_latency_us * 1e-6,
         )
 
-    def read(
-        self, nbytes: int, rng: np.random.Generator | None = None
-    ) -> Generator[Any, Any, int]:
-        """Timed read: queue for a channel, hold it for the service time.
-
-        ``rng`` overrides the device's jitter stream — bulk-capable callers
-        pass a private per-task substream so that pre-drawing a whole
-        chunk train's jitters does not perturb other consumers.
-        """
-        t = self.read_service_time(nbytes, rng)
+    def read(self, nbytes: int) -> Generator[Any, Any, int]:
+        """Timed read: queue for a channel, hold it for the service time."""
+        t = self.read_service_time(nbytes)
         yield self._channel.hold(t)
         return nbytes
 
-    def write(
-        self, nbytes: int, rng: np.random.Generator | None = None
-    ) -> Generator[Any, Any, int]:
+    def write(self, nbytes: int) -> Generator[Any, Any, int]:
         """Timed write: queue for a channel, hold it for the service time."""
-        t = self.write_service_time(nbytes, rng)
+        t = self.write_service_time(nbytes)
         yield self._channel.hold(t)
         return nbytes
 
-    def read_service_time(
-        self, nbytes: int, rng: np.random.Generator | None = None
-    ) -> float:
-        """Jittered service time for one read, drawing from ``rng``."""
-        if rng is None:
-            js = self._jitter
-            return self.read_time(nbytes) * (js.factor() if js is not None else 1.0)
-        return self.read_time(nbytes) * jitter_factor(rng, self.profile.jitter_sigma)
+    def read_service_time(self, nbytes: int) -> float:
+        """Jittered service time for one read, drawing from the device stream."""
+        js = self._jitter
+        return self.read_time(nbytes) * (js.factor() if js is not None else 1.0)
 
-    def write_service_time(
-        self, nbytes: int, rng: np.random.Generator | None = None
-    ) -> float:
-        """Jittered service time for one write, drawing from ``rng``."""
-        if rng is None:
-            js = self._jitter
-            return self.write_time(nbytes) * (js.factor() if js is not None else 1.0)
-        return self.write_time(nbytes) * jitter_factor(rng, self.profile.jitter_sigma)
-
-    def read_bulk(
-        self, sizes: list[int], rng: np.random.Generator | None = None
-    ) -> Generator[Any, Any, int]:
-        """Read a train of chunks back to back, bulking idle stretches.
-
-        Bit-identical in simulated time to ``for n in sizes: yield from
-        self.read(n, rng)`` — under contention the bulk hold is preempted
-        into exactly that per-chunk execution (see
-        :mod:`repro.simkernel.bulk`).  The jitter draws happen up front, so
-        ``rng`` must not be shared with concurrent consumers; pass a
-        per-task substream (or run jitter-free).
-        """
-        from repro.simkernel.bulk import hold_series
-
-        ch = self._channel
-        schedule = [(ch, self.read_service_time(n, rng)) for n in sizes]
-        yield from hold_series(self.sim, schedule)
-        return sum(sizes)
-
-    def write_bulk(
-        self, sizes: list[int], rng: np.random.Generator | None = None
-    ) -> Generator[Any, Any, int]:
-        """Write a train of chunks back to back, bulking idle stretches."""
-        from repro.simkernel.bulk import hold_series
-
-        ch = self._channel
-        schedule = [(ch, self.write_service_time(n, rng)) for n in sizes]
-        yield from hold_series(self.sim, schedule)
-        return sum(sizes)
+    def write_service_time(self, nbytes: int) -> float:
+        """Jittered service time for one write, drawing from the device stream."""
+        js = self._jitter
+        return self.write_time(nbytes) * (js.factor() if js is not None else 1.0)
 
     @property
     def channel(self) -> Resource:
-        """The underlying channel resource (for composed bulk schedules)."""
+        """The underlying channel resource."""
         return self._channel
 
     @property

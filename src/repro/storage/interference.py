@@ -28,12 +28,6 @@ __all__ = [
 class InterferenceModel:
     """Interface: available bandwidth share at simulated time ``t``."""
 
-    #: Whether ``share_at`` is a pure function of ``t`` (memoized grid), so
-    #: the bulk fast path may query future instants without perturbing what
-    #: later callers observe.  Models that mutate state destructively on
-    #: advance must leave this False, which disables bulk PFS transfers.
-    supports_lookahead = False
-
     def share_at(self, t: float) -> float:
         """Fraction of nominal PFS bandwidth available at time ``t``."""
         raise NotImplementedError
@@ -45,8 +39,6 @@ class InterferenceModel:
 
 class ConstantInterference(InterferenceModel):
     """Fixed bandwidth share — a perfectly quiet (or steadily loaded) PFS."""
-
-    supports_lookahead = True
 
     def __init__(self, share: float = 1.0) -> None:
         if not 0.0 < share <= 1.0:
@@ -95,12 +87,8 @@ class ARInterference(InterferenceModel):
         self.max_load = max_load
         # Memoized per-step loads: _loads[k] is the load after k updates.
         # Keeping the history (instead of only the latest value) makes
-        # share_at a pure function of t for any already-materialized step,
-        # so bulk transfers may look ahead without changing what later
-        # per-chunk callers see at the same instants.
+        # share_at a pure function of t for any already-materialized step.
         self._loads = [mean_load]
-
-    supports_lookahead = True
 
     def share_at(self, t: float) -> float:
         target = int(t // self.interval)
@@ -147,8 +135,6 @@ class BurstInterference(InterferenceModel):
         # Memoized per-step states (see ARInterference._loads).
         self._states = [False]
 
-    supports_lookahead = True
-
     def share_at(self, t: float) -> float:
         target = int(t // self.interval)
         states = self._states
@@ -183,10 +169,6 @@ class CompositeInterference(InterferenceModel):
         if not models:
             raise ValueError("composite needs at least one model")
         self.models = models
-
-    @property
-    def supports_lookahead(self) -> bool:  # type: ignore[override]
-        return all(m.supports_lookahead for m in self.models)
 
     def share_at(self, t: float) -> float:
         share = 1.0

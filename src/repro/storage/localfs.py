@@ -217,16 +217,15 @@ class LocalFileSystem(FileSystem):
             self.page_cache.insert(handle.meta.path, handle.meta.size)
         return nbytes
 
-    # -- bulk fast path ---------------------------------------------------
     def apply_bulk_write(
         self, handle: FileHandle, nbytes: int, ops: int, offset: int = 0
     ) -> None:
-        """Bookkeeping for an externally-timed sequential bulk write.
+        """Bookkeeping for an externally-timed sequential write of ``ops`` chunks.
 
-        The placement planner times its chunk train itself (interleaved
-        with PFS reads on one composed schedule); this applies the side
-        effects — growth, counters, page-cache residency — exactly once at
-        completion.  Untimed.
+        The placement handler times a copy's chunks itself (interleaved
+        with its PFS reads); this applies the side effects — growth,
+        counters, page-cache residency — exactly once at completion.
+        Untimed.
         """
         if handle.flags == "r":
             raise PermissionError(f"{self.name}: handle opened read-only")
@@ -244,75 +243,6 @@ class LocalFileSystem(FileSystem):
             entry.last_access = self.sim.now
         if self.page_cache is not None:
             self.page_cache.insert(handle.meta.path, handle.meta.size)
-
-    def pwrite_bulk(
-        self,
-        handle: FileHandle,
-        offset: int,
-        sizes: list[int],
-        rng: Any = None,
-    ) -> Generator[Any, Any, int]:
-        """Write a back-to-back train of chunks starting at ``offset``.
-
-        Simulated completion time is identical to one ``pwrite`` per chunk:
-        the device bulk engine occupies an idle channel with a single event
-        and degrades to exact per-chunk execution under contention.
-        Bookkeeping lands once at the end.  ``rng`` must be a private
-        substream (or None for the device's shared stream — then only
-        bit-identical while nothing else draws from it concurrently).
-        """
-        if offset < 0 or any(n < 0 for n in sizes):
-            raise ValueError("negative offset or length")
-        if handle.flags == "r":
-            raise PermissionError(f"{self.name}: handle opened read-only")
-        total = sum(sizes)
-        growth = max(0, offset + total - handle.meta.size)
-        if growth > self.free_bytes:
-            raise NoSpaceError(
-                f"{self.name}: need {growth} more bytes, only {self.free_bytes} free"
-            )
-        if total > 0:
-            yield from self.device.write_bulk(list(sizes), rng)
-        else:
-            yield self.sim.timeout(_LOCAL_META_LATENCY_S)
-        self.apply_bulk_write(handle, total, len(sizes), offset=offset)
-        return total
-
-    def pread_bulk(
-        self,
-        handle: FileHandle,
-        offset: int,
-        sizes: list[int],
-        rng: Any = None,
-    ) -> Generator[Any, Any, int]:
-        """Read a back-to-back train of chunks starting at ``offset``.
-
-        Must lie within EOF (the caller plans against the known size).
-        Completion time matches one ``pread`` per chunk; cache residency
-        and counters are applied once at the end.
-        """
-        if offset < 0 or any(n < 0 for n in sizes):
-            raise ValueError("negative offset or length")
-        total = sum(sizes)
-        if offset + total > handle.meta.size:
-            raise ValueError(f"{self.name}: bulk read past EOF")
-        entry = self._entries.get(handle.meta.path)
-        if entry is not None:
-            entry.last_access = self.sim.now
-        self.stats.record_reads(len(sizes), total)
-        if total == 0:
-            yield self.sim.timeout(_LOCAL_META_LATENCY_S)
-            return 0
-        cache = self.page_cache
-        if cache is not None and cache.lookup(handle.meta.path):
-            # Pure delays never contend, so one summed timeout completes
-            # at the same instant as per-chunk hit timeouts.
-            yield self.sim.timeout(sum(cache.hit_time(n) for n in sizes))
-            return total
-        yield from self.device.read_bulk(list(sizes), rng)
-        if cache is not None:
-            cache.insert(handle.meta.path, handle.meta.size)
-        return total
 
     def stat(self, path: str) -> Generator[Any, Any, FileMeta]:
         p = norm_path(path)

@@ -41,8 +41,6 @@ from repro.storage.base import (
 from repro.storage.blockmath import (
     MIB,
     JitterStream,
-    jitter_factor,
-    jitter_from_normal,
     mib_per_s,
     split_into_chunks,
 )
@@ -181,57 +179,36 @@ class ParallelFileSystem(FileSystem):
     def _bandwidth_share(self) -> float:
         return self.interference.share_at(self.sim.now)
 
-    def base_time(
-        self, nbytes: int, write: bool, sequential: bool, at: float | None = None
-    ) -> float:
-        """Jitter-free service time for one piece on one OST at time ``at``.
+    def base_time(self, nbytes: int, write: bool, sequential: bool) -> float:
+        """Jitter-free service time for one piece on one OST, starting now.
 
         Each OST serves at ``client_bw / n_osts``, so the client reaches
         its aggregate bandwidth only by keeping all OSTs busy — which is
         exactly what striped sequential fetches do and scattered random
         chunk reads do imperfectly (on top of the explicit random
         penalty modelling lost readahead / RPC amortization).
-
-        ``at`` defaults to the current instant; bulk planners pass future
-        instants (valid only when ``interference.supports_lookahead``).
         """
         cfg = self.config
         bw = cfg.client_write_bw_mib if write else cfg.client_read_bw_mib
-        share = self.interference.share_at(self.sim.now if at is None else at)
+        share = self.interference.share_at(self.sim.now)
         bw_bps = mib_per_s(bw) / cfg.n_osts * share
         if not write and not sequential:
             bw_bps *= cfg.random_read_penalty
         return cfg.rpc_latency_s + nbytes / bw_bps
 
-    def _data_time(
-        self,
-        nbytes: int,
-        write: bool,
-        sequential: bool,
-        rng: np.random.Generator | None = None,
-    ) -> float:
-        """Jittered service time for one piece, drawing from ``rng``."""
-        if rng is None:
-            js = self._jitter
-            return self.base_time(nbytes, write, sequential) * (
-                js.factor() if js is not None else 1.0
-            )
-        return self.base_time(nbytes, write, sequential) * jitter_factor(
-            rng, self.config.jitter_sigma
+    def _data_time(self, nbytes: int, write: bool, sequential: bool) -> float:
+        """Jittered service time for one piece, drawing from the shared stream."""
+        js = self._jitter
+        return self.base_time(nbytes, write, sequential) * (
+            js.factor() if js is not None else 1.0
         )
 
     def _ost_for(self, entry: _PFSEntry, offset: int) -> Resource:
         idx = (entry.stripe_offset + offset // self.config.stripe_size) % self.config.n_osts
         return self._osts[idx]
 
-    # -- bulk-transfer planning hooks ------------------------------------
-    @property
-    def bulk_capable(self) -> bool:
-        """Whether service times may be pre-computed for future instants."""
-        return bool(self.interference.supports_lookahead)
-
     def ost_for(self, path: str, offset: int) -> Resource:
-        """The OST channel serving ``path`` at ``offset`` (for planners)."""
+        """The OST channel serving ``path`` at ``offset``."""
         entry = self._entries.get(norm_path(path))
         if entry is None:
             raise FileNotFoundInFS(f"{self.name}: {path}")
@@ -269,14 +246,12 @@ class ParallelFileSystem(FileSystem):
         offset: int,
         nbytes: int,
         sequential: bool = False,
-        rng: np.random.Generator | None = None,
     ) -> Generator[Any, Any, int]:
         """Read; ``sequential`` marks streaming access (full-file fetches).
 
         Streaming reads skip the random-read bandwidth penalty — the model
         hook behind MONARCH's observation that background full-file copies
         extract more from Lustre than the framework's scattered part reads.
-        ``rng`` overrides the shared jitter stream (per-task substreams).
         """
         if offset < 0 or nbytes < 0:
             raise ValueError("negative offset or length")
@@ -293,14 +268,12 @@ class ParallelFileSystem(FileSystem):
         pieces = split_into_chunks(offset, take, self.config.stripe_size)
         if len(pieces) == 1:
             off, ln = pieces[0]
-            yield self._ost_for(entry, off).hold(
-                self._data_time(ln, False, sequential, rng)
-            )
+            yield self._ost_for(entry, off).hold(self._data_time(ln, False, sequential))
             return take
         yield parallel_using(
             self.sim,
             [
-                (self._ost_for(entry, off), self._data_time(ln, False, sequential, rng))
+                (self._ost_for(entry, off), self._data_time(ln, False, sequential))
                 for off, ln in pieces
             ],
         )
@@ -313,7 +286,6 @@ class ParallelFileSystem(FileSystem):
         nbytes: int,
         cb: Any,
         sequential: bool = False,
-        rng: np.random.Generator | None = None,
     ) -> int:
         """Continuation-style :meth:`pread` for fused readers.
 
@@ -355,17 +327,14 @@ class ParallelFileSystem(FileSystem):
             if not sequential:
                 bw_bps *= cfg.random_read_penalty
             t = cfg.rpc_latency_s + take / bw_bps
-            if rng is None:
-                js = self._jitter
-                if js is not None:
-                    i = js._i
-                    if i >= len(js._fs):
-                        js._refill()
-                        i = 0
-                    js._i = i + 1
-                    t *= js._fs[i]
-            else:
-                t *= jitter_factor(rng, cfg.jitter_sigma)
+            js = self._jitter
+            if js is not None:
+                i = js._i
+                if i >= len(js._fs):
+                    js._refill()
+                    i = 0
+                js._i = i + 1
+                t *= js._fs[i]
             idx = (entry.stripe_offset + offset // stripe) % cfg.n_osts
             self._osts[idx].hold(t, cb)
             return take
@@ -373,7 +342,7 @@ class ParallelFileSystem(FileSystem):
         parallel_using(
             self.sim,
             [
-                (self._ost_for(entry, off), self._data_time(ln, False, sequential, rng))
+                (self._ost_for(entry, off), self._data_time(ln, False, sequential))
                 for off, ln in pieces
             ],
         ).add_callback(cb)
@@ -393,94 +362,6 @@ class ParallelFileSystem(FileSystem):
         self.stats.record_open()
         self._mds.hold(self._mds_time()).add_callback(cb)
         return FileHandle(fs=self, meta=entry.meta, flags="r")
-
-    def pread_bulk(
-        self,
-        handle: FileHandle,
-        offset: int,
-        sizes: list[int],
-        sequential: bool = True,
-        rng: np.random.Generator | None = None,
-    ) -> Generator[Any, Any, int]:
-        """Read a back-to-back train of chunks starting at ``offset``.
-
-        Simulated completion time is identical to one ``pread`` per chunk.
-        When every chunk lands on a single OST piece and the interference
-        model supports lookahead, the whole train is planned analytically
-        and occupies the (idle) OSTs with a single event, degrading to
-        exact per-chunk execution the moment anything else arrives.
-        Jitter draws come from ``rng`` in chunk order, so pass a private
-        substream (or run jitter-free) — sharing a stream with concurrent
-        readers reorders draws versus the chunked equivalent.
-        """
-        if offset < 0 or any(n < 0 for n in sizes):
-            raise ValueError("negative offset or length")
-        entry = self._entries.get(handle.meta.path)
-        if entry is None:
-            raise FileNotFoundInFS(f"{self.name}: {handle.meta.path}")
-        total = sum(sizes)
-        if offset + total > handle.meta.size:
-            raise ValueError(f"{self.name}: bulk read past EOF")
-        self.stats.record_reads(len(sizes), total)
-        if total == 0:
-            yield from self._mds_op()
-            return 0
-        stripe = self.config.stripe_size
-        chunks: list[tuple[int, int]] = []  # (file offset, nbytes)
-        pos = offset
-        single_piece = True
-        for n in sizes:
-            chunks.append((pos, n))
-            if len(split_into_chunks(pos, n, stripe)) > 1:
-                single_piece = False
-            pos += n
-        if single_piece and self.bulk_capable:
-            from repro.simkernel.bulk import hold_series
-
-            sigma = self.config.jitter_sigma
-            jit = (self.rng is not None or rng is not None) and sigma > 0.0
-            if not jit:
-                zs: list[float] = []
-            elif rng is None:
-                # Shared stream: raw draws must come from the block buffer
-                # so they stay in sequence with the factor draws.
-                zs = [self._jitter.z() for _ in chunks]
-            else:
-                zs = [rng.normal(0.0, sigma) for _ in chunks]
-            schedule: list[tuple[Resource, float]] = []
-            acc = self.sim.now
-            for i, (off, n) in enumerate(chunks):
-                t = self.base_time(n, False, sequential, at=acc)
-                if jit:
-                    t *= jitter_from_normal(zs[i])
-                schedule.append((self._ost_for(entry, off), t))
-                acc += t
-
-            def chunk_exec(j: int) -> Generator[Any, Any, None]:
-                off_j, n_j = chunks[j]
-                t_j = self.base_time(n_j, False, sequential)
-                if jit:
-                    t_j *= jitter_from_normal(zs[j])
-                yield from self._ost_for(entry, off_j).using(t_j)
-
-            yield from hold_series(self.sim, schedule, chunk_exec=chunk_exec, shiftable=False)
-            return total
-        for off, n in chunks:
-            pieces = split_into_chunks(off, n, stripe)
-            if len(pieces) == 1:
-                poff, ln = pieces[0]
-                yield self._ost_for(entry, poff).hold(
-                    self._data_time(ln, False, sequential, rng)
-                )
-            else:
-                yield parallel_using(
-                    self.sim,
-                    [
-                        (self._ost_for(entry, poff), self._data_time(ln, False, sequential, rng))
-                        for poff, ln in pieces
-                    ],
-                )
-        return total
 
     def pwrite(self, handle: FileHandle, offset: int, nbytes: int) -> Generator[Any, Any, int]:
         if offset < 0 or nbytes < 0:

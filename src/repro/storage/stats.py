@@ -80,12 +80,12 @@ class BackendStats:
         self.bytes_written += int(nbytes)
 
     def record_reads(self, ops: int, nbytes: int) -> None:
-        """Account ``ops`` reads totalling ``nbytes`` (bulk fast path)."""
+        """Account ``ops`` reads totalling ``nbytes`` (one whole-file copy)."""
         self.read_ops += ops
         self.bytes_read += int(nbytes)
 
     def record_writes(self, ops: int, nbytes: int) -> None:
-        """Account ``ops`` writes totalling ``nbytes`` (bulk fast path)."""
+        """Account ``ops`` writes totalling ``nbytes`` (one whole-file copy)."""
         self.write_ops += ops
         self.bytes_written += int(nbytes)
 

@@ -14,7 +14,7 @@ Two halves:
   by :func:`repro.experiments.scenarios.build_run`: an
   :class:`~repro.telemetry.events.EventRecorder` for the structured event
   stream, an :class:`~repro.telemetry.tracing.IOTrace` attached to every
-  backend (bulk paths included), per-epoch snapshots of the middleware's
+  backend (batched copy counters included), per-epoch snapshots of the middleware's
   per-tier counters via the trainer's epoch hook.
 * :class:`RunReport` + :func:`build_run_report` — the post-run aggregate:
   per-epoch × per-tier reads/bytes/faults, per-backend op/byte totals with

@@ -30,13 +30,13 @@ __all__ = ["IOTrace", "TraceEvent", "VariabilitySummary", "throughput_series", "
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One recorded I/O completion (a bulk train completes as one event)."""
+    """One recorded I/O completion (a whole-file copy completes as one event)."""
 
     t: float
     backend: str
     kind: str  #: "read" or "write"
     nbytes: int
-    #: operations folded into this event (> 1 for bulk-path completions)
+    #: operations folded into this event (> 1 for batched copy counters)
     ops: int = 1
 
 
@@ -54,9 +54,9 @@ class IOTrace:
         """Instrument a backend: every future read/write lands in the trace.
 
         Wraps the stats object's record methods — the singular ones *and*
-        the bulk ``record_reads``/``record_writes`` the fast path accounts
-        through (a bulk train lands as one event carrying its op count),
-        so traced byte totals always equal the backend's counters.
+        the batched ``record_reads``/``record_writes`` that whole-file
+        copies account through (a copy lands as one event carrying its op
+        count), so traced byte totals always equal the backend's counters.
         Idempotent per backend object (attaching twice raises to avoid
         double counting).
         """
@@ -105,7 +105,7 @@ class IOTrace:
         return sum(e.nbytes for e in self.filtered(backend, kind))
 
     def total_ops(self, backend: str | None = None, kind: str | None = None) -> int:
-        """Summed operation count over the matching events (bulk-aware)."""
+        """Summed operation count over the matching events (batched ops included)."""
         return sum(e.ops for e in self.filtered(backend, kind))
 
 

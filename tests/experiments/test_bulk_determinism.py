@@ -1,32 +1,15 @@
-"""The bulk-I/O escape hatch must not change simulated results.
+"""Chaos determinism: a faulted run is a pure function of its seed.
 
-``REPRO_DISABLE_BULK_IO=1`` forces every background copy onto the legacy
-per-chunk execution path.  Because the bulk engine is equivalence
-preserving (and falls back to per-chunk under contention anyway), the
-*entire* experiment grid must come out bit-identical either way — this is
-the regression gate for the fast path.
+The fault draws come from a dedicated RNG substream, so the same seed and
+the same :class:`~repro.faults.FaultPlan` must replay the identical run.
 """
 
 from __future__ import annotations
 
 from repro.data.imagenet import IMAGENET_100G
 from repro.experiments.calibration import DEFAULT_CALIBRATION
-from repro.experiments.figures import fig3
 from repro.experiments.scenarios import build_run
 from repro.faults import FaultPlan, LatencySpike, TierDown, TransientFaults
-
-
-def test_fig3_bit_identical_with_bulk_disabled(monkeypatch):
-    monkeypatch.delenv("REPRO_DISABLE_BULK_IO", raising=False)
-    with_bulk = fig3(scale=1 / 256, runs=2)
-    monkeypatch.setenv("REPRO_DISABLE_BULK_IO", "1")
-    without_bulk = fig3(scale=1 / 256, runs=2)
-
-    assert set(with_bulk) == set(without_bulk)
-    for key, on in with_bulk.items():
-        off = without_bulk[key]
-        assert on.total_mean == off.total_mean, key
-        assert on.epoch_mean_std() == off.epoch_mean_std(), key
 
 
 def _chaos_plan() -> FaultPlan:
@@ -59,19 +42,7 @@ def _faulted_fingerprint() -> dict:
     }
 
 
-def test_fault_injection_bit_identical_with_bulk_disabled(monkeypatch):
-    """Chaos determinism: the fault draws come from a dedicated RNG
-    substream, so the bulk-I/O escape hatch changes nothing faulted either."""
-    monkeypatch.delenv("REPRO_DISABLE_BULK_IO", raising=False)
-    on = _faulted_fingerprint()
-    monkeypatch.setenv("REPRO_DISABLE_BULK_IO", "1")
-    off = _faulted_fingerprint()
-    assert sum(on["injector"].values()) > 0  # the plan really fired
-    assert on == off
-
-
-def test_same_seed_faulted_runs_replay_identically(monkeypatch):
+def test_same_seed_faulted_runs_replay_identically():
     """Acceptance: same seed + same FaultPlan → identical MonarchStats
     counters and epoch times, run to run."""
-    monkeypatch.delenv("REPRO_DISABLE_BULK_IO", raising=False)
     assert _faulted_fingerprint() == _faulted_fingerprint()

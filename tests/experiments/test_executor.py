@@ -57,14 +57,12 @@ class TestParallelEquivalence:
         assert _grid_json(inproc) == _grid_json(serial)
         assert _grid_json(pooled) == _grid_json(serial)
 
-    def test_fault_plan_and_bulk_io_env_propagate_to_workers(self, monkeypatch):
-        """Faulted runs with REPRO_DISABLE_BULK_IO=1: pool == in-process.
+    def test_fault_plan_propagates_to_workers(self):
+        """Faulted runs: pool == in-process.
 
-        The fault plan travels inside the spec; the env knob must be
-        re-exported into every spawned worker.  Either going missing
-        would change the records.
+        The fault plan travels inside the spec; if it went missing in the
+        spawned workers the records would change.
         """
-        monkeypatch.setenv("REPRO_DISABLE_BULK_IO", "1")
         plan = ssd_tier_down_plan(0.05)
         kwargs = dict(
             setup="monarch", model_name="lenet", dataset=IMAGENET_100G,

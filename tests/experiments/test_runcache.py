@@ -66,7 +66,8 @@ class TestKeySensitivity:
 
     def test_env_knob_changes_miss(self, monkeypatch):
         before = spec_key(BASE)
-        monkeypatch.setenv("REPRO_DISABLE_BULK_IO", "1")
+        monkeypatch.setenv("REPRO_FAULT_PLAN",
+                           '{"/mnt/ssd": [{"kind": "tier_down", "at": 30.0}]}')
         assert spec_key(BASE) != before
 
     def test_code_salt_changes_miss(self):

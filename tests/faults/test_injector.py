@@ -222,49 +222,6 @@ class TestLatencySpike:
         assert state.latency_multiplier(at=11.0) == 1.0
 
 
-class TestBulkPaths:
-    def test_bulk_prefix_executes_then_fault_surfaces(self, sim, local_fs):
-        # Deterministically reproduce the draw sequence to predict where
-        # the train dies, then check exactly that prefix landed.
-        window = TransientFaults(start=0.5, end=100.0, write_p=0.5)
-        injector, wrapped = make_wrapped(sim, local_fs, [window], seed=3)
-        replica = np.random.default_rng(3).spawn(1)[0]
-        sizes = [4096] * 8
-        k = len(sizes)
-        for i in range(len(sizes)):
-            if replica.random() < 0.5:
-                k = i
-                break
-
-        def job():
-            # t=0: before the window, so the open consumes no draw.
-            handle = yield from wrapped.open("/f", "a")
-            yield sim.timeout_at(1.0)
-            yield from wrapped.pwrite_bulk(handle, 0, sizes)
-
-        if k == len(sizes):
-            drive(sim, job())  # pragma: no cover - seed 3 faults early
-            written = local_fs.file_size("/f")
-        else:
-            with pytest.raises(IOFaultError):
-                drive(sim, job())
-            written = local_fs.file_size("/f") if local_fs.exists("/f") else 0
-        assert written == sum(sizes[:k])
-
-    def test_bulk_read_faults_while_down(self, sim, local_fs):
-        _, wrapped = make_wrapped(sim, local_fs, [TierDown(at=1.0)])
-        handle = put_file(sim, wrapped, "/f", 1 << 16)
-
-        def job():
-            yield sim.timeout(2.0)
-            yield from wrapped.pread_bulk(handle, 0, [4096, 4096])
-
-        before_used = local_fs.used_bytes
-        with pytest.raises(TierFailedError):
-            drive(sim, job())
-        assert local_fs.used_bytes == before_used
-
-
 class TestFaultyDevice:
     def test_device_wrapper_faults_and_stretches(self, sim, ssd):
         plan = FaultPlan(
@@ -297,19 +254,6 @@ class TestFaultyDevice:
 
         with pytest.raises(TierFailedError):
             drive(sim, down_job())
-
-    def test_device_bulk_paths_fault(self, sim, ssd):
-        plan = FaultPlan({MOUNT: [TierDown(at=0.0)]})
-        injector = FaultInjector(sim, plan, np.random.default_rng(0))
-        dev = injector.wrap_device(MOUNT, ssd)
-
-        def job():
-            yield from dev.read_bulk([4096, 4096])
-
-        before = sim.now
-        with pytest.raises(TierFailedError):
-            drive(sim, job())
-        assert sim.now == before
 
 
 class TestCounters:

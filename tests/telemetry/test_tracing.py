@@ -60,9 +60,9 @@ class TestIOTrace:
         assert len(trace.filtered(backend="a", kind="write")) == 1
 
     def test_bulk_record_reads_traced_with_op_count(self, sim):
-        """Regression: the bulk fast path accounts through
+        """Regression: whole-file copies account through
         ``record_reads``/``record_writes``; the trace must wrap those too,
-        or every background chunk train goes unseen."""
+        or every background copy goes unseen."""
         trace = IOTrace(sim)
         stats = BackendStats(name="dev")
         trace.attach(stats)
@@ -138,24 +138,41 @@ class TestThroughputSeries:
 
 
 class TestTraceMatchesBackendCounters:
-    """Satellite contract: traced totals equal the backend counters they
-    shadow, on both the bulk and the per-chunk copy execution paths."""
+    """Traced totals equal the backend counters they
+    shadow, for both copy geometries the placement handler runs."""
 
-    @pytest.mark.parametrize("disable_bulk", [False, True])
-    def test_full_run_traced_totals(self, monkeypatch, disable_bulk):
-        from repro.data.imagenet import IMAGENET_100G
-        from repro.experiments.calibration import DEFAULT_CALIBRATION
+    @pytest.mark.parametrize("stripe_chunks", [False, True])
+    def test_full_run_traced_totals(self, monkeypatch, stripe_chunks):
+        """``False``: the calibrated copy chunk (one shard), which exceeds
+        the stripe, so every copy goes one ``pread``/``pwrite`` per chunk.
+        ``True``: stripe-sized chunks, which every copy runs as a timed
+        chunk loop with batched counters and ``apply_bulk_write``."""
+        from repro.core.placement import PlacementHandler
+        from repro.data.imagenet import IMAGENET_100G, scaled
+        from repro.experiments.calibration import DEFAULT_CALIBRATION, ScaledEnvironment
         from repro.experiments.scenarios import build_run
 
-        if disable_bulk:
-            monkeypatch.setenv("REPRO_DISABLE_BULK_IO", "1")
-        else:
-            monkeypatch.delenv("REPRO_DISABLE_BULK_IO", raising=False)
+        scale = 1 / 2048
+        overrides = None
+        if stripe_chunks:
+            env = ScaledEnvironment.derive(DEFAULT_CALIBRATION, IMAGENET_100G,
+                                           scaled(IMAGENET_100G, scale), scale)
+            overrides = {"copy_chunk": env.stripe_size}
+        chunked: list[str] = []
+        per_chunk = PlacementHandler._copy_full_chunked
+
+        def counting(self, task):
+            chunked.append(task.info.name)
+            return per_chunk(self, task)
+
+        monkeypatch.setattr(PlacementHandler, "_copy_full_chunked", counting)
         handle = build_run(
             "monarch", "lenet", IMAGENET_100G, DEFAULT_CALIBRATION,
-            scale=1 / 2048, seed=1, telemetry=True,
+            scale=scale, seed=1, telemetry=True, monarch_overrides=overrides,
         )
         handle.execute()
+        assert handle.monarch.placement.stats.pfs_bytes_fetched > 0
+        assert bool(chunked) is not stripe_chunks
         tele = handle.telemetry
         assert tele is not None
         for name, stats in tele.backends.items():
