@@ -44,7 +44,7 @@ from typing import Any, Callable
 
 import pytest
 
-from repro.data.imagenet import IMAGENET_100G, scaled
+from repro.data.imagenet import IMAGENET_100G, IMAGENET_200G, scaled
 from repro.distributed.cluster import ClusterSpec, build_cluster
 from repro.distributed.trainer import DistributedTrainer
 from repro.experiments.calibration import DEFAULT_CALIBRATION
@@ -105,17 +105,18 @@ def _outcome(run: Callable[[], Any], sim: Any) -> Any:
         return f"raised {type(err).__name__}: {err} at t={sim.now!r}"
 
 
-def _with_read_chunk(read_chunk: int) -> Any:
-    calib = DEFAULT_CALIBRATION
+def _with_read_chunk(calib: Any, read_chunk: int) -> Any:
     return replace(calib, pipeline=replace(calib.pipeline, read_chunk=read_chunk))
 
 
 def _single(setup: str, model: str = "resnet50", scale: float = SCALE,
             seed: int = 0, read_chunk: int | None = None,
             reader: Callable[[Any], DataReader] | None = None,
-            fault_plan: FaultPlan | None = None) -> dict[str, Any]:
-    calib = DEFAULT_CALIBRATION if read_chunk is None else _with_read_chunk(read_chunk)
-    handle = build_run(setup=setup, model_name=model, dataset=IMAGENET_100G,
+            fault_plan: FaultPlan | None = None, dataset: Any = IMAGENET_100G,
+            calib: Any = DEFAULT_CALIBRATION) -> dict[str, Any]:
+    if read_chunk is not None:
+        calib = _with_read_chunk(calib, read_chunk)
+    handle = build_run(setup=setup, model_name=model, dataset=dataset,
                        calib=calib, scale=scale, seed=seed, fault_plan=fault_plan)
     if reader is not None:
         handle.trainer.reader = reader(handle.trainer)
@@ -186,6 +187,9 @@ PINS: dict[str, tuple[Callable[[], dict[str, Any]], bool]] = {
     "vanilla_lustre": (lambda: _single("vanilla-lustre"), True),
     "vanilla_local": (lambda: _single("vanilla-local"), True),
     "monarch": (lambda: _single("monarch"), True),
+    "monarch_overflow": (lambda: _single(
+        "monarch", model="lenet", scale=1 / 1024, dataset=IMAGENET_200G,
+        calib=DEFAULT_CALIBRATION.busy()), True),
     "monarch_p2p": (lambda: _dist("monarch-p2p"), True),
     "monarch_ssd_down": (lambda: _single(
         "monarch", seed=3, fault_plan=ssd_tier_down_plan(0.05, recover_at_s=0.4)), True),
