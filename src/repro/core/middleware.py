@@ -472,6 +472,15 @@ class Monarch:
         return reg
 
 
+def _take(info: Any, offset: int, nbytes: int) -> int:
+    """Bytes a read of ``info`` at ``offset`` transfers: ``nbytes``,
+    clipped to the end of the file."""
+    take = info.size - offset
+    if take > nbytes:
+        return nbytes
+    return take if take > 0 else 0
+
+
 class _MonarchToken:
     """Per-open state for the fused read path (stored in ``OpenFile.token``).
 
@@ -495,29 +504,59 @@ class _MonarchToken:
 
 
 class _ReadDone:
-    """Pooled completion continuation for the fused resident-read path.
+    """Pooled completion continuation for the fused read paths.
 
     Carries exactly the bookkeeping ``Monarch.read`` performs when its
-    generator resumes at the transfer-completion instant — conditional
-    health success, tier stats, the policy access hook — then chains to
-    the pipeline's callback in the same dispatch slot.  ``health.dirty``
-    is re-read here, not captured at issue, because the generator form
-    evaluates it at completion time too (a fault elsewhere mid-flight
-    makes this read's success count toward re-admission).
+    generator resumes at the transfer-completion instant, then chains to
+    the caller's callback in the same dispatch slot.  ``on_pfs`` picks
+    the branch:
+
+    * a resident fast-tier hit: conditional health success, tier stats,
+      the policy access hook.  ``health.dirty`` is re-read here, not
+      captured at issue, because the generator form evaluates it at
+      completion time too (a fault elsewhere mid-flight makes this
+      read's success count toward re-admission);
+    * a PFS-resident read: PFS-level stats, then the placement handler's
+      ``on_read`` with the requested size — no health bookkeeping, as in
+      the generator's PFS branch.
+
+    A PFS read issued before its file's handle is open first runs
+    :meth:`opened` at the open's completion.
     """
 
-    __slots__ = ("reader", "info", "offset", "level", "n", "cb")
+    __slots__ = ("reader", "info", "offset", "nbytes", "level", "n", "cb",
+                 "on_pfs", "handle")
+
+    def opened(self, ev: Any) -> None:
+        """PFS open completion: cache the handle, then issue the read.
+
+        The handle is stored here, not at issue, because that is where
+        ``StorageDriver._handle_for`` stores it; the read is issued in
+        this slot, where the generator issues it.
+        """
+        pfs = self.reader._pfs
+        handle = self.handle
+        self.handle = None
+        pfs._handles[pfs.local_path(self.info.name)] = handle
+        self.n = pfs.fs.pread_begin(handle, self.offset, self.nbytes, self)
 
     def __call__(self, ev: Any) -> None:
         reader = self.reader
         m = reader.monarch
-        health = m._health
-        if health.dirty:
-            health.record_success(self.level)
-        m.stats.record(self.level, self.n)
-        on_access = m._on_access
-        if on_access is not None:
-            on_access(self.info, self.offset, self.n)
+        info = self.info
+        n = self.n
+        if self.on_pfs:
+            m.stats.record(self.level, n)
+            offset = self.offset
+            m.placement.on_read(info, offset, self.nbytes, offset == 0 and n >= info.size)
+        else:
+            health = m._health
+            if health.dirty:
+                health.record_success(self.level)
+            m.stats.record(self.level, n)
+            on_access = m._on_access
+            if on_access is not None:
+                on_access(info, self.offset, n)
         cb = self.cb
         self.info = None
         self.cb = None
@@ -533,11 +572,15 @@ class MonarchReader(DataReader):
 
     The reader speaks the fused continuation protocol (``open_begin`` /
     ``pread_begin``), so monarch cells engage the pipeline's fused reader
-    FSMs.  Routing is per read: a healthy resident fast-tier hit — the
-    steady-state case — is inlined with the middleware bookkeeping folded
-    into a pooled completion continuation; every other read replays the
-    legacy ``Monarch.read`` generator through :class:`_LegacyDrive`,
-    which preserves its slot-for-slot behaviour.
+    FSMs.  Routing is per read.  On a healthy single-tenant hierarchy
+    both clean read shapes run as continuations, with the middleware
+    bookkeeping folded into a pooled completion continuation: a resident
+    fast-tier hit, and a read of a PFS-resident (``PFS_ONLY``,
+    ``COPYING`` or ``UNPLACEABLE``) file.  The remaining reads replay
+    the legacy ``Monarch.read`` generator through :class:`_LegacyDrive`,
+    which preserves its slot-for-slot behaviour: reads under dirty health
+    (a fault or quarantine seen), tenant-job reads, and reads on
+    fault-wrapped mounts.
     """
 
     #: fused opens resolve from the virtual namespace with no timed op
@@ -548,6 +591,8 @@ class MonarchReader(DataReader):
         self.job = job
         self._done_pool: list[_ReadDone] = []
         self._drive_pool: list[_LegacyDrive] = []
+        self._pfs = monarch.hierarchy.pfs
+        self._pfs_level = monarch.hierarchy.pfs_level
 
     def open(self, path: str) -> Generator[Any, Any, OpenFile]:
         """Resolve size from the virtual namespace (no PFS open)."""
@@ -601,67 +646,96 @@ class MonarchReader(DataReader):
         )
 
     def pread_begin(self, f: OpenFile, offset: int, nbytes: int, cb: Any) -> int:
-        """Fused pread: inline the resident fast-tier hit, else replay
-        the legacy generator continuation-style.
+        """Fused pread: inline the clean read shapes, else replay the
+        legacy generator continuation-style.
 
-        The fast path requires a CACHED file on a healthy hierarchy with
-        an already-open handle on a continuation-capable backend, in the
-        single-tenant namespace — the steady-state shape of every epoch
-        past the first.  Everything it skips relative to ``Monarch.read``
-        is either statically impossible here (tenancy checks with no
-        owner, per-job stats with no job) or folded into the pooled
+        Both inlined shapes need a healthy hierarchy, an initialized
+        middleware and the single-tenant namespace.  Everything they skip
+        relative to ``Monarch.read`` is either statically impossible here
+        (tenancy checks with no owner, per-job stats with no job, health
+        probes with clean health) or folded into the pooled
         :class:`_ReadDone` completion continuation.
+
+        * A CACHED file with an already-open handle on a
+          continuation-capable tier — the steady-state shape of every
+          epoch past the first.
+        * Any other file, when the PFS backend is continuation-capable:
+          the PFS branch of ``Monarch.read``.  With no open handle the
+          read chains behind ``open_begin``, as the generator's
+          ``_handle_for`` does.
+
+        Reads under dirty health, tenant-job reads and reads on
+        fault-wrapped mounts run the ``Monarch.read`` generator.
         """
         m = self.monarch
         tok: _MonarchToken = f.token
         info = tok.info
-        if (
-            info.state is FileState.CACHED
-            and not m._health.dirty
-            and not self.job
-            and not info.owner
-            and m._initialized
-        ):
-            level = info.level
-            if level != tok.level:
-                driver = m.hierarchy[level]
-                tok.driver = driver
-                tok.level = level
-                tok.pb = (
-                    driver.fs.pread_begin
-                    if continuation_capable(driver.fs)
-                    else None
-                )
-            pb = tok.pb
-            if pb is not None:
-                handle = tok.driver._handles.get(tok.key)
-                if handle is not None:
-                    pool = self._done_pool
-                    done = pool.pop() if pool else _ReadDone()
-                    done.reader = self
-                    done.info = info
-                    done.offset = offset
-                    done.level = level
-                    done.cb = cb
-                    # The backend never invokes ``done`` synchronously
-                    # (protocol guarantee), so setting ``n`` after the
-                    # call is race-free.
-                    n = pb(handle, offset, nbytes, done)
-                    done.n = n
-                    return n
+        if not m._health.dirty and not self.job and not info.owner and m._initialized:
+            if info.state is not FileState.CACHED:
+                pfs = self._pfs
+                if continuation_capable(pfs.fs):
+                    return self._pfs_begin(pfs, tok.key, info, offset, nbytes, cb)
+            else:
+                level = info.level
+                if level != tok.level:
+                    driver = m.hierarchy[level]
+                    tok.driver = driver
+                    tok.level = level
+                    tok.pb = (
+                        driver.fs.pread_begin
+                        if continuation_capable(driver.fs)
+                        else None
+                    )
+                pb = tok.pb
+                if pb is not None:
+                    handle = tok.driver._handles.get(tok.key)
+                    if handle is not None:
+                        pool = self._done_pool
+                        done = pool.pop() if pool else _ReadDone()
+                        done.reader = self
+                        done.info = info
+                        done.offset = offset
+                        done.level = level
+                        done.on_pfs = False
+                        done.cb = cb
+                        # The backend never invokes ``done`` synchronously
+                        # (protocol guarantee), so setting ``n`` after the
+                        # call is race-free.
+                        n = pb(handle, offset, nbytes, done)
+                        done.n = n
+                        return n
         return self._legacy_begin(
             m.read(info.name, offset, nbytes, self.job), info, offset, nbytes, cb
         )
+
+    def _pfs_begin(
+        self, pfs: Any, key: str, info: Any, offset: int, nbytes: int, cb: Any
+    ) -> int:
+        """The PFS branch of ``Monarch.read`` as a continuation chain."""
+        pool = self._done_pool
+        done = pool.pop() if pool else _ReadDone()
+        done.reader = self
+        done.info = info
+        done.offset = offset
+        done.nbytes = nbytes
+        done.level = self._pfs_level
+        done.on_pfs = True
+        done.cb = cb
+        handle = pfs._handles.get(key)
+        if handle is not None:
+            n = pfs.fs.pread_begin(handle, offset, nbytes, done)
+            done.n = n
+            return n
+        # Neither callback runs synchronously, so storing the handle
+        # after ``open_begin`` returns is race-free too.
+        done.handle = pfs.fs.open_begin(key, done.opened)
+        return _take(info, offset, nbytes)
 
     def _legacy_begin(
         self, gen: Any, info: Any, offset: int, nbytes: int, cb: Any
     ) -> int:
         """Replay a legacy read generator under the fused protocol."""
-        take = info.size - offset
-        if take > nbytes:
-            take = nbytes
-        elif take < 0:
-            take = 0
+        take = _take(info, offset, nbytes)
         pool = self._drive_pool
         drive = pool.pop() if pool else _LegacyDrive(self.monarch.sim, pool)
         drive.start(gen, cb, take)

@@ -15,7 +15,10 @@ comparison going vacuous (both sides silently taking the same path).
 Monarch and monarch-p2p cells count too: the middleware and peer-cache
 readers route per read, so their inlined fast paths must land every
 hold and counter in the generator path's slots — including under fault
-plans, where they hand off to the generator mid-run.
+plans, where they hand off to the generator mid-run.  On the clean
+single-tenant cells the protocol side must drive no generator at all:
+a read that silently fell back to ``Monarch.read`` would still produce
+matching records, so only the spy can catch it.
 """
 
 from __future__ import annotations
@@ -68,10 +71,18 @@ def _observe(cell: str) -> tuple[dict, dict]:
     return obs, misses
 
 
-def _assert_trampoline_matches(cell, reader_cls, drive_spy, monkeypatch):
+def _assert_trampoline_matches(cell, reader_cls, drive_spy, monkeypatch,
+                               clean=False):
+    """Protocol run == forced-trampoline run.  ``clean``: the protocol
+    side must also drive no generator (no ``Monarch.read`` fallback)."""
     fused, fused_misses = _observe(cell)
     assert fused_misses == {}
     assert "_chunk_gen" not in drive_spy, "protocol side trampolined its reads"
+    if clean:
+        assert not drive_spy, (
+            f"protocol side drove {len(drive_spy)} generators, e.g. "
+            f"{sorted(set(drive_spy))}: reads fell back to the trampoline"
+        )
 
     _force_trampoline(monkeypatch)
     drive_spy.clear()
@@ -86,10 +97,13 @@ def _assert_trampoline_matches(cell, reader_cls, drive_spy, monkeypatch):
     ("vanilla_lustre", PosixReader),
     ("vanilla_local", PosixReader),
     ("monarch", MonarchReader),
-], ids=["vanilla-lustre", "vanilla-local", "monarch"])
+    ("monarch_overflow", MonarchReader),
+], ids=["vanilla-lustre", "vanilla-local", "monarch", "monarch-overflow"])
 def test_fused_and_generator_records_byte_identical(cell, reader_cls,
                                                     drive_spy, monkeypatch):
-    _assert_trampoline_matches(cell, reader_cls, drive_spy, monkeypatch)
+    """Clean single-tenant cells: every read — PFS-resident ones in the
+    overflow cell included — runs as a continuation."""
+    _assert_trampoline_matches(cell, reader_cls, drive_spy, monkeypatch, clean=True)
 
 
 def test_monarch_p2p_fused_and_generator_identical(drive_spy, monkeypatch):
