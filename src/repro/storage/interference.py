@@ -60,6 +60,13 @@ class ARInterference(InterferenceModel):
     is ``1 - x``.  With ``rho`` near 1 this produces the slowly-wandering
     minutes-long congestion episodes seen on production file systems, which
     is what makes per-run epoch times vary.
+
+    The noise ``eps`` is drawn from ``rng`` in blocks of ``block``, as
+    :class:`~repro.storage.blockmath.JitterStream` does: a block draw
+    consumes the bit stream exactly as that many scalar draws, so the
+    loads equal the scalar recurrence bit for bit as long as nothing else
+    draws from ``rng`` (every builder passes a dedicated stream).  The
+    clip makes the recurrence itself sequential, so it stays a loop.
     """
 
     def __init__(
@@ -70,6 +77,7 @@ class ARInterference(InterferenceModel):
         rho: float = 0.97,
         interval: float = 1.0,
         max_load: float = 0.85,
+        block: int = 512,
     ) -> None:
         if not 0.0 <= mean_load < 1.0:
             raise ValueError(f"mean_load must be in [0, 1), got {mean_load}")
@@ -89,17 +97,39 @@ class ARInterference(InterferenceModel):
         # Keeping the history (instead of only the latest value) makes
         # share_at a pure function of t for any already-materialized step.
         self._loads = [mean_load]
+        # Noise drawn from ``rng`` but not yet used, and the next index.
+        self._eps: list[float] = []
+        self._ei = 0
+        self._block = block
 
     def share_at(self, t: float) -> float:
         target = int(t // self.interval)
         loads = self._loads
-        while len(loads) <= target:
-            eps = self.rng.normal(0.0, self.sigma)
-            load = self.rho * loads[-1] + (1 - self.rho) * self.mean_load + eps
-            loads.append(min(max(load, 0.0), self.max_load))
+        if len(loads) <= target:
+            self._advance(target)
         return 1.0 - loads[target]
 
+    def _advance(self, target: int) -> None:
+        """Extend the load history through step ``target``."""
+        loads = self._loads
+        rho = self.rho
+        drift = (1 - rho) * self.mean_load
+        max_load = self.max_load
+        eps = self._eps
+        i = self._ei
+        load = loads[-1]
+        for _ in range(target + 1 - len(loads)):
+            if i == len(eps):
+                eps = self._eps = self.rng.normal(0.0, self.sigma, self._block).tolist()
+                i = 0
+            load = rho * load + drift + eps[i]
+            i += 1
+            load = min(max(load, 0.0), max_load)
+            loads.append(load)
+        self._ei = i
+
     def reset(self) -> None:
+        # The buffered noise stays: the scalar form would draw it next.
         self._loads = [self.mean_load]
 
 

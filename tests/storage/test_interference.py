@@ -67,6 +67,34 @@ class TestAR:
         m.reset()
         assert m.share_at(0.0) == pytest.approx(0.7)
 
+    @pytest.mark.parametrize("block", [1, 16, 512])
+    def test_block_draws_equal_scalar_recurrence(self, block):
+        """Buffered noise gives the scalar recurrence's loads bit for bit,
+        across several refills and a reset that leaves drawn noise unused."""
+        kw = dict(mean_load=0.5, sigma=0.3, rho=0.9, interval=0.5, max_load=0.8)
+        ref_rng = np.random.default_rng(11)
+
+        def scalar_loads(n):
+            loads = [kw["mean_load"]]
+            while len(loads) < n:
+                eps = ref_rng.normal(0.0, kw["sigma"])
+                load = kw["rho"] * loads[-1] + (1 - kw["rho"]) * kw["mean_load"] + eps
+                loads.append(min(max(load, 0.0), kw["max_load"]))
+            return loads
+
+        m = ARInterference(np.random.default_rng(11), block=block, **kw)
+        runs = []
+        for n in (45, 70):  # 44 draws: at block 16, 4 are left unused at the reset
+            shares = [m.share_at(t) for t in (3.0, 0.0, 22.0, 9.5, (n - 1) * 0.5)]
+            shares += [m.share_at(k * 0.5) for k in range(n)]
+            runs.append((shares, list(m._loads)))
+            m.reset()
+        for (shares, loads), n in zip(runs, (45, 70)):
+            ref = scalar_loads(n)
+            assert loads == ref
+            assert shares[5:] == [1.0 - x for x in ref]
+        assert any(x in (0.0, kw["max_load"]) for x in runs[1][1]), "clip never hit"
+
     def test_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
