@@ -25,6 +25,10 @@ __all__ = [
 ]
 
 
+#: normals :class:`ARInterference` draws per refill of its noise buffer
+_AR_BLOCK = 512
+
+
 class InterferenceModel:
     """Interface: available bandwidth share at simulated time ``t``."""
 
@@ -61,7 +65,7 @@ class ARInterference(InterferenceModel):
     minutes-long congestion episodes seen on production file systems, which
     is what makes per-run epoch times vary.
 
-    The noise ``eps`` is drawn from ``rng`` in blocks of ``block``, as
+    The noise ``eps`` is drawn from ``rng`` in blocks of ``_AR_BLOCK``, as
     :class:`~repro.storage.blockmath.JitterStream` does: a block draw
     consumes the bit stream exactly as that many scalar draws, so the
     loads equal the scalar recurrence bit for bit as long as nothing else
@@ -77,7 +81,6 @@ class ARInterference(InterferenceModel):
         rho: float = 0.97,
         interval: float = 1.0,
         max_load: float = 0.85,
-        block: int = 512,
     ) -> None:
         if not 0.0 <= mean_load < 1.0:
             raise ValueError(f"mean_load must be in [0, 1), got {mean_load}")
@@ -100,7 +103,6 @@ class ARInterference(InterferenceModel):
         # Noise drawn from ``rng`` but not yet used, and the next index.
         self._eps: list[float] = []
         self._ei = 0
-        self._block = block
 
     def share_at(self, t: float) -> float:
         target = int(t // self.interval)
@@ -120,7 +122,7 @@ class ARInterference(InterferenceModel):
         load = loads[-1]
         for _ in range(target + 1 - len(loads)):
             if i == len(eps):
-                eps = self._eps = self.rng.normal(0.0, self.sigma, self._block).tolist()
+                eps = self._eps = self.rng.normal(0.0, self.sigma, _AR_BLOCK).tolist()
                 i = 0
             load = rho * load + drift + eps[i]
             i += 1

@@ -22,6 +22,7 @@ from repro.data.imagenet import IMAGENET_100G
 from repro.experiments.calibration import DEFAULT_CALIBRATION
 from repro.experiments.scenarios import build_run
 from repro.faults.injector import FaultyFileSystem
+from repro.storage.base import TierFailedError
 from repro.storage.pfs import ParallelFileSystem
 from tests.golden.test_pipeline_pins import _PFS_DOWN, _QUARANTINE, PFS_MOUNT, SMALL
 
@@ -63,24 +64,18 @@ def pfs_protocol_calls(monkeypatch):
     return calls
 
 
-def _run(fault_plan):
-    handle = build_run("monarch", "lenet", IMAGENET_100G, DEFAULT_CALIBRATION,
-                       scale=SMALL, seed=0, fault_plan=fault_plan)
-    try:
-        handle.execute()
-    except Exception as err:  # noqa: BLE001 - a crash is a valid outcome here
-        outcome = type(err).__name__
-    else:
-        outcome = "ok"
-    return handle, outcome
+def _build(fault_plan):
+    return build_run("monarch", "lenet", IMAGENET_100G, DEFAULT_CALIBRATION,
+                     scale=SMALL, seed=0, fault_plan=fault_plan)
 
 
 def test_fault_wrapped_pfs_reads_stay_on_the_generator(routes, pfs_protocol_calls):
     """The PFS dies for good mid-epoch (the ``monarch_pfs_down`` pin):
     every PFS read passes through ``FaultyFileSystem``, so the injected
     faults reach the middleware's fault and retry accounting."""
-    handle, outcome = _run(_PFS_DOWN)
-    assert outcome == "TierFailedError"
+    handle = _build(_PFS_DOWN)
+    with pytest.raises(TierFailedError):
+        handle.execute()
     m = handle.monarch
     assert isinstance(m.hierarchy.pfs.fs, FaultyFileSystem)
     pfs_reads = [r for r in routes if r[1] is not FileState.CACHED]
@@ -101,8 +96,8 @@ def test_dirty_health_pfs_reads_stay_on_the_generator(routes):
     pin): PFS-resident reads run as continuations only while health is
     clean; from the first fault on they drive ``Monarch.read``, which
     owns the probe and retry logic."""
-    handle, outcome = _run(_QUARANTINE)
-    assert outcome == "ok"
+    handle = _build(_QUARANTINE)
+    handle.execute()
     assert handle.monarch.health.counters()["health.quarantines"] == 1
     pfs_reads = [r for r in routes if r[1] is not FileState.CACHED]
     clean = [route for route, _, dirty in pfs_reads if not dirty]

@@ -67,8 +67,7 @@ class TestAR:
         m.reset()
         assert m.share_at(0.0) == pytest.approx(0.7)
 
-    @pytest.mark.parametrize("block", [1, 16, 512])
-    def test_block_draws_equal_scalar_recurrence(self, block):
+    def test_block_draws_equal_scalar_recurrence(self):
         """Buffered noise gives the scalar recurrence's loads bit for bit,
         across several refills and a reset that leaves drawn noise unused."""
         kw = dict(mean_load=0.5, sigma=0.3, rho=0.9, interval=0.5, max_load=0.8)
@@ -82,14 +81,17 @@ class TestAR:
                 loads.append(min(max(load, 0.0), kw["max_load"]))
             return loads
 
-        m = ARInterference(np.random.default_rng(11), block=block, **kw)
+        m = ARInterference(np.random.default_rng(11), **kw)
+        # 699 then 1,199 steps: the reset falls mid-block, and both runs
+        # cross a refill (the block is a few hundred draws).
+        lengths = (700, 1200)
         runs = []
-        for n in (45, 70):  # 44 draws: at block 16, 4 are left unused at the reset
-            shares = [m.share_at(t) for t in (3.0, 0.0, 22.0, 9.5, (n - 1) * 0.5)]
+        for n in lengths:
+            shares = [m.share_at(t) for t in (3.0, 0.0, 222.0, 9.5, (n - 1) * 0.5)]
             shares += [m.share_at(k * 0.5) for k in range(n)]
             runs.append((shares, list(m._loads)))
             m.reset()
-        for (shares, loads), n in zip(runs, (45, 70)):
+        for (shares, loads), n in zip(runs, lengths):
             ref = scalar_loads(n)
             assert loads == ref
             assert shares[5:] == [1.0 - x for x in ref]

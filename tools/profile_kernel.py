@@ -4,17 +4,22 @@ Runs the same contended cells as ``benchmarks/test_kernel_speed.py`` and
 prints the top cumulative-time functions — the first stop when
 events/sec regresses.  ``--setup`` picks the cell: ``vanilla-lustre``
 (the historical probe), ``monarch`` (the middleware fused-read path that
-dominates figure grids) or ``monarch-p2p`` (the peer-cache cluster cell,
-run distributed on 3 nodes).  ``--workload`` profiles a trace-replay
-serving cell instead of training (on ``monarch`` unless ``--setup`` says
-otherwise).  ``--phase`` picks what is profiled: ``execute`` (the
-default) runs the built cell, scenario build excluded; ``build``
-profiles the scenario build itself — ``build_run`` or ``build_cluster``,
-dataset layout and trace generation included — and does not execute.
+dominates figure grids), ``monarch-overflow`` (perfbench's
+train-overflow cell: LeNet over the 200 GiB dataset on the busy PFS,
+which overflows the SSD, so about half the middleware's reads are
+served from the PFS beside placement copies) or ``monarch-p2p`` (the
+peer-cache cluster cell, run distributed on 3 nodes).  ``--workload``
+profiles a trace-replay serving cell instead of training (on
+``monarch`` unless ``--setup`` says otherwise).  ``--phase`` picks what
+is profiled: ``execute`` (the default) runs the built cell, scenario
+build excluded; ``build`` profiles the scenario build itself —
+``build_run`` or ``build_cluster``, dataset layout and trace generation
+included — and does not execute.
 Usage::
 
     make profile-kernel                          # vanilla, 1/128, top 20
     python tools/profile_kernel.py --setup monarch --scale 1/64 --top 30
+    python tools/profile_kernel.py --setup monarch-overflow --sort tottime
     python tools/profile_kernel.py --setup monarch-p2p
     python tools/profile_kernel.py --workload serve-zipf --sort tottime
     python tools/profile_kernel.py --workload serve-zipf --phase build
@@ -32,7 +37,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.data.imagenet import IMAGENET_100G  # noqa: E402
+from repro.data.imagenet import IMAGENET_100G, IMAGENET_200G  # noqa: E402
 from repro.experiments.calibration import DEFAULT_CALIBRATION  # noqa: E402
 from repro.experiments.scenarios import SERVE_SETUPS, build_run  # noqa: E402
 from repro.workload.spec import WORKLOADS  # noqa: E402
@@ -41,10 +46,19 @@ from repro.workload.spec import WORKLOADS  # noqa: E402
 P2P_NODES = 3
 
 
-def _single_probe(setup: str, scale: float, workload: str | None = None):
+#: ``--setup`` cells run on one node: setup, model, dataset, calibration
+SINGLE_CELLS = {
+    "vanilla-lustre": ("vanilla-lustre", "resnet50", IMAGENET_100G, DEFAULT_CALIBRATION),
+    "monarch": ("monarch", "resnet50", IMAGENET_100G, DEFAULT_CALIBRATION),
+    "monarch-overflow": ("monarch", "lenet", IMAGENET_200G, DEFAULT_CALIBRATION.busy()),
+}
+
+
+def _single_probe(cell: str, scale: float, workload: str | None = None):
     """Build a single-node cell (serving if ``workload``): (execute thunk, sim)."""
+    setup, model, dataset, calib = SINGLE_CELLS[cell]
     handle = build_run(
-        setup, "resnet50", IMAGENET_100G, DEFAULT_CALIBRATION,
+        setup, model, dataset, calib,
         scale=scale, seed=0,
         workload=WORKLOADS[workload] if workload is not None else None,
     )
@@ -86,7 +100,7 @@ def _p2p_probe(scale: float):
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--setup", default=None,
-                        choices=("vanilla-lustre", "monarch", "monarch-p2p"),
+                        choices=(*SINGLE_CELLS, "monarch-p2p"),
                         help="probe cell to profile (default vanilla-lustre, "
                              "or monarch with --workload)")
     parser.add_argument("--workload", default=None, choices=sorted(WORKLOADS),
@@ -112,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         label = f"monarch-p2p/resnet50 x{P2P_NODES}"
     else:
         build = partial(_single_probe, setup, scale, args.workload)
-        label = f"{setup}/{args.workload or 'resnet50'}"
+        label = f"{setup}/{args.workload or SINGLE_CELLS[setup][1]}"
     profiler = cProfile.Profile()
     if args.phase == "build":
         build()  # warm-up: lazy imports and one-time caches stay out of the profile
