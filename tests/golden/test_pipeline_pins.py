@@ -105,17 +105,13 @@ def _outcome(run: Callable[[], Any], sim: Any) -> Any:
         return f"raised {type(err).__name__}: {err} at t={sim.now!r}"
 
 
-def _with_read_chunk(calib: Any, read_chunk: int) -> Any:
-    return replace(calib, pipeline=replace(calib.pipeline, read_chunk=read_chunk))
-
-
 def _single(setup: str, model: str = "resnet50", scale: float = SCALE,
             seed: int = 0, read_chunk: int | None = None,
             reader: Callable[[Any], DataReader] | None = None,
             fault_plan: FaultPlan | None = None, dataset: Any = IMAGENET_100G,
             calib: Any = DEFAULT_CALIBRATION) -> dict[str, Any]:
     if read_chunk is not None:
-        calib = _with_read_chunk(calib, read_chunk)
+        calib = replace(calib, pipeline=replace(calib.pipeline, read_chunk=read_chunk))
     handle = build_run(setup=setup, model_name=model, dataset=dataset,
                        calib=calib, scale=scale, seed=seed, fault_plan=fault_plan)
     if reader is not None:
