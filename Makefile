@@ -6,7 +6,7 @@ export PYTHONPATH := src
 # hard-to-reach lines, not for untested subsystems.
 COV_FLOOR ?= 94
 
-.PHONY: test test-fast test-policy test-dist test-serve bench bench-kernel bench-grid profile-kernel coverage report-check check
+.PHONY: test test-fast pins test-policy test-dist test-serve bench bench-kernel bench-grid profile-kernel coverage report-check check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -15,6 +15,11 @@ test:
 # (marker `hypothesis_heavy`), which dominate full-suite wall time.
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not hypothesis_heavy"
+
+# Record-preservation loop for refactors: the golden fixtures, the
+# protocol-vs-trampoline equivalence tests and the read-routing pins.
+pins:
+	$(PYTHON) -m pytest -q tests/golden tests/framework/test_fused_equivalence.py tests/core/test_read_routing.py
 
 # Placement-policy engine suites only (marker `policy`): the unit and
 # property tests plus the FIG-POLICY tournament benchmark.

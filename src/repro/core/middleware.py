@@ -34,12 +34,8 @@ from repro.core.metadata import FileState, MetadataContainer
 from repro.core.placement import PlacementHandler, make_eviction_policy
 from repro.core.policy import make_policy
 from repro.core.tenancy import FairShareArbiter, JobContext, NamespaceViolationError
-from repro.framework.io_layer import (
-    DataReader,
-    OpenFile,
-    _LegacyDrive,
-    continuation_capable,
-)
+from repro.faults.injector import is_fault_wrapped
+from repro.framework.io_layer import DataReader, OpenFile, _LegacyDrive
 from repro.simkernel.monitor import TagAccounting
 from repro.storage.base import IOFaultError
 from repro.storage.vfs import MountTable
@@ -580,7 +576,8 @@ class MonarchReader(DataReader):
     the legacy ``Monarch.read`` generator through :class:`_LegacyDrive`,
     which preserves its slot-for-slot behaviour: reads under dirty health
     (a fault or quarantine seen), tenant-job reads, and reads on
-    fault-wrapped mounts.
+    fault-wrapped mounts (:func:`~repro.faults.injector.is_fault_wrapped`),
+    since only the generator owns fallback, retry and quarantine.
     """
 
     #: fused opens resolve from the virtual namespace with no timed op
@@ -656,11 +653,11 @@ class MonarchReader(DataReader):
         probes with clean health) or folded into the pooled
         :class:`_ReadDone` completion continuation.
 
-        * A CACHED file with an already-open handle on a
-          continuation-capable tier — the steady-state shape of every
-          epoch past the first.
-        * Any other file, when the PFS backend is continuation-capable:
-          the PFS branch of ``Monarch.read``.  With no open handle the
+        * A CACHED file with an already-open handle on a tier that is
+          not fault-wrapped — the steady-state shape of every epoch past
+          the first.
+        * Any other file, when the PFS mount is not fault-wrapped: the
+          PFS branch of ``Monarch.read``.  With no open handle the
           read chains behind ``open_begin``, as the generator's
           ``_handle_for`` does.
 
@@ -673,7 +670,7 @@ class MonarchReader(DataReader):
         if not m._health.dirty and not self.job and not info.owner and m._initialized:
             if info.state is not FileState.CACHED:
                 pfs = self._pfs
-                if continuation_capable(pfs.fs):
+                if not is_fault_wrapped(pfs.fs):
                     return self._pfs_begin(pfs, tok.key, info, offset, nbytes, cb)
             else:
                 level = info.level
@@ -682,9 +679,7 @@ class MonarchReader(DataReader):
                     tok.driver = driver
                     tok.level = level
                     tok.pb = (
-                        driver.fs.pread_begin
-                        if continuation_capable(driver.fs)
-                        else None
+                        None if is_fault_wrapped(driver.fs) else driver.fs.pread_begin
                     )
                 pb = tok.pb
                 if pb is not None:

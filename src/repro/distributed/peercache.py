@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.metadata import FileState
 from repro.core.middleware import MonarchReader, _MonarchToken
-from repro.framework.io_layer import continuation_capable
+from repro.faults.injector import is_fault_wrapped
 from repro.storage.base import IOFaultError
 from repro.telemetry.events import NULL_RECORDER
 
@@ -463,7 +463,7 @@ class PeerCacheReader(MonarchReader):
                 pinfo = peer.metadata.get(info.name)
                 if pinfo is not None and pinfo.state is FileState.CACHED:
                     driver = peer.hierarchy[pinfo.level]
-                    if continuation_capable(driver.fs):
+                    if not is_fault_wrapped(driver.fs):
                         handle = driver._handles.get(tok.key)
                         if handle is not None:
                             pool = self._fetch_pool

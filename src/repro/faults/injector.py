@@ -2,9 +2,10 @@
 
 :class:`FaultInjector` arms a :class:`~repro.faults.plan.FaultPlan`
 against a simulation: it wraps each planned mount's
-:class:`~repro.storage.base.FileSystem` (or raw
-:class:`~repro.storage.device.Device`) in a delegating proxy that
-consults the plan before every timed operation.
+:class:`~repro.storage.base.FileSystem` in a delegating proxy,
+:class:`FaultyFileSystem`, that consults the plan before every timed
+operation, in the generator form and in the ``*_begin`` continuation
+form alike.
 
 Determinism contract:
 
@@ -15,7 +16,9 @@ Determinism contract:
   current instant has ``p > 0`` for the op's direction, so the draw
   sequence is a pure function of the (deterministic) op sequence.
 * Faulted operations consume **zero** simulated time: the error surfaces
-  before the backend is touched, like an EIO from a dead device.
+  before the backend is touched, like an EIO from a dead device (raised
+  by a generator op; delivered to the callback of a continuation op as
+  an urgent failed event in the same instant).
 * Latency spikes stretch an op by holding the extra time *after* the
   inner op completes, using the simulator's pooled timeout events.
 
@@ -34,9 +37,17 @@ from typing import Any
 import numpy as np
 
 from repro.faults.plan import FaultEvent, FaultPlan, LatencySpike, TierDown, TransientFaults
-from repro.storage.base import FileHandle, IOFaultError, NoSpaceError, TierFailedError
+from repro.simkernel.core import PRIORITY_URGENT, Event
+from repro.storage.base import (
+    FileHandle,
+    FileMeta,
+    IOFaultError,
+    NoSpaceError,
+    TierFailedError,
+    norm_path,
+)
 
-__all__ = ["FaultInjector", "FaultyDevice", "FaultyFileSystem", "TierFaultState"]
+__all__ = ["FaultInjector", "FaultyFileSystem", "TierFaultState", "is_fault_wrapped"]
 
 
 class TierFaultState:
@@ -133,13 +144,6 @@ class FaultInjector:
             return fs
         return FaultyFileSystem(fs, state)
 
-    def wrap_device(self, mount: str, device: Any) -> Any:
-        """Wrap a raw device if the plan targets ``mount``."""
-        state = self._states.get(mount)
-        if state is None:
-            return device
-        return FaultyDevice(device, state)
-
     def counters(self) -> dict[str, int]:
         """Flat ``{mount/kind: count}`` view of every injected fault."""
         out: dict[str, int] = {}
@@ -150,8 +154,33 @@ class FaultInjector:
         return out
 
 
-class _FaultProxy:
-    """Shared delegation + latency-stretch machinery of the two proxies."""
+def is_fault_wrapped(fs: Any) -> bool:
+    """Whether ``fs`` is a fault-injection proxy (a mount the plan targets).
+
+    The middleware readers keep reads on such mounts on the generators
+    that own fallback, retry and quarantine.
+    """
+    return type(fs) is FaultyFileSystem
+
+
+class FaultyFileSystem:
+    """FileSystem proxy that consults the fault schedule on every timed op.
+
+    Untimed bookkeeping (``exists``, ``file_size``, ``unlink``,
+    ``add_file``, ``apply_bulk_write``, stats, ...) passes straight
+    through — cleanup after a failed copy must always succeed, exactly as
+    dropping an in-memory descriptor table does on a dead device.
+
+    The read ops come in both forms the backends offer: generators, and
+    the ``open_begin``/``pread_begin`` continuation protocol.  Both check
+    the schedule at issue and sample the latency multiplier there; the
+    continuation form delivers an injected fault to ``cb`` as an urgent
+    failed event (the slot a generator's failure reaches its driver in)
+    and chains the spike surcharge after the inner op on a pooled
+    timeout, as :meth:`_stretched` does.  Handles from either form are
+    bound to the proxy, so follow-up I/O routed via ``handle.fs`` cannot
+    tunnel past the injector.
+    """
 
     def __init__(self, inner: Any, state: TierFaultState) -> None:
         self._inner = inner
@@ -191,23 +220,56 @@ class _FaultProxy:
             self.sim._recycle(ev)
         return result
 
+    def _stretched_cb(self, cb: Any) -> Any:
+        """:meth:`_stretched` for a continuation op: the callback to hand
+        the inner op, which holds the surcharge before running ``cb``."""
+        mult = self._state.latency_multiplier()
+        if mult <= 1.0:
+            return cb
+        sim = self.sim
+        t0 = sim.now
 
-class FaultyFileSystem(_FaultProxy):
-    """FileSystem proxy that consults the fault schedule on every timed op.
+        def _surcharged(ev: Any) -> None:
+            sim._recycle(ev)
+            cb(ev)
 
-    Untimed bookkeeping (``exists``, ``file_size``, ``unlink``,
-    ``add_file``, ``apply_bulk_write``, stats, ...) passes straight
-    through — cleanup after a failed copy must always succeed, exactly as
-    dropping an in-memory descriptor table does on a dead device.
-    """
+        def _inner_done(ev: Any) -> None:
+            extra = (mult - 1.0) * (sim.now - t0)
+            if extra > 0.0:
+                sim._pooled_timeout(extra).callbacks = [_surcharged]
+            else:
+                cb(ev)
+
+        return _inner_done
+
+    def _admits(self, cb: Any) -> bool:
+        """Check a continuation read op at issue; False when it faulted.
+
+        The fault reaches ``cb`` as an urgent failed event instead of
+        being raised at the caller.
+        """
+        try:
+            self._state.check(write=False)
+        except (IOFaultError, NoSpaceError) as err:
+            ev = Event(self.sim, name="injected-fault")
+            ev.add_callback(cb)
+            ev.fail(err, priority=PRIORITY_URGENT)
+            return False
+        return True
 
     # -- timed metadata ops (count as reads) ------------------------------
     def open(self, path: str, flags: str = "r") -> Generator[Any, Any, FileHandle]:
         self._state.check(write=flags != "r")
         handle = yield from self._stretched(self._inner.open(path, flags))
-        # Re-bind the handle to the proxy: callers route follow-up I/O via
-        # ``handle.fs`` and must not tunnel past the injector.
         return FileHandle(fs=self, meta=handle.meta, flags=handle.flags)
+
+    def open_begin(self, path: str, cb: Any) -> FileHandle:
+        """Continuation-style read-only :meth:`open`.  The handle of a
+        faulted open names the path with no size; ``cb`` fails."""
+        if not self._admits(cb):
+            return FileHandle(fs=self, meta=FileMeta(path=norm_path(path)), flags="r")
+        handle = self._inner.open_begin(path, self._stretched_cb(cb))
+        return FileHandle(fs=self, meta=handle.meta, flags="r")
 
     def stat(self, path: str) -> Generator[Any, Any, Any]:
         self._state.check(write=False)
@@ -227,21 +289,18 @@ class FaultyFileSystem(_FaultProxy):
         n = yield from self._stretched(self._inner.pread(handle, offset, nbytes, *args, **kwargs))
         return n
 
+    def pread_begin(
+        self, handle: FileHandle, offset: int, nbytes: int, cb: Any, *args: Any, **kwargs: Any
+    ) -> int:
+        """Continuation-style :meth:`pread`.  A faulted read transfers
+        nothing (returns 0); ``cb`` fails."""
+        if not self._admits(cb):
+            return 0
+        return self._inner.pread_begin(
+            handle, offset, nbytes, self._stretched_cb(cb), *args, **kwargs
+        )
+
     def pwrite(self, handle: FileHandle, offset: int, nbytes: int) -> Generator[Any, Any, int]:
         self._state.check(write=True)
         n = yield from self._stretched(self._inner.pwrite(handle, offset, nbytes))
-        return n
-
-
-class FaultyDevice(_FaultProxy):
-    """Device proxy: same schedule semantics at the block layer."""
-
-    def read(self, nbytes: int) -> Generator[Any, Any, int]:
-        self._state.check(write=False)
-        n = yield from self._stretched(self._inner.read(nbytes))
-        return n
-
-    def write(self, nbytes: int) -> Generator[Any, Any, int]:
-        self._state.check(write=True)
-        n = yield from self._stretched(self._inner.write(nbytes))
         return n

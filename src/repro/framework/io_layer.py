@@ -16,42 +16,15 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.simkernel.core import PRIORITY_URGENT, Event, SimulationError
-from repro.storage.base import FileHandle, StorageError
+from repro.storage.base import FileHandle
 from repro.storage.vfs import MountTable
 
 __all__ = [
     "DataReader",
     "OpenFile",
     "PosixReader",
-    "continuation_capable",
     "fusion_miss",
 ]
-
-#: per-class memo for :func:`continuation_capable` (classes are few and
-#: immutable at runtime; the check runs on per-read fast paths)
-_CAP_BY_CLASS: dict[type, bool] = {}
-
-
-def continuation_capable(fs: Any) -> bool:
-    """Whether ``fs``'s *class* implements the ``*_begin`` protocol.
-
-    Deliberately ignores instance-level ``__getattr__`` delegation: a
-    fault-injection proxy forwards unknown attributes to the wrapped
-    backend, so a plain ``hasattr`` check would route fused reads around
-    the injector entirely (the delegated ``open_begin`` even returns
-    handles bound to the *inner* filesystem).  Looking the methods up on
-    the type keeps wrapped mounts on the generator path, where every
-    operation passes through the wrapper.
-    """
-    cls = fs.__class__
-    cap = _CAP_BY_CLASS.get(cls)
-    if cap is None:
-        cap = _CAP_BY_CLASS[cls] = (
-            getattr(cls, "pread_begin", None) is not None
-            and getattr(cls, "open_begin", None) is not None
-        )
-    return cap
-
 
 def fusion_miss(reader: Any, paths: list[str]) -> str | None:
     """Why ``reader`` cannot serve ``paths`` continuation-style, or None.
@@ -226,35 +199,19 @@ class PosixReader(DataReader):
 
     # -- fused (continuation-style) protocol ---------------------------
     def fused_capable(self, paths: list[str]) -> bool:
-        """True when every path's backend supports the ``*_begin`` calls.
+        """True unless :meth:`fused_miss` names a reason.
 
         The pipeline's readers (see ``framework.pipeline``) use the
         ``*_begin`` calls only when the whole epoch can run
-        continuation-style; with a single unsupported backend (e.g. a
-        fault-injecting wrapper) the epoch's reads run through the
-        trampoline wholesale, so RNG draw order never depends on which
-        shard hit which path.  Capability is a *class* property
-        (:func:`continuation_capable`) — a delegating wrapper must
-        implement the protocol itself to count.
+        continuation-style, so RNG draw order never depends on which
+        shard hit which path.
         """
         return self.fused_miss(paths) is None
 
     def fused_miss(self, paths: list[str]) -> str | None:
-        """Why :meth:`fused_capable` declines, or None when it holds.
-
-        ``backend:<Class>`` names the first backend whose class lacks the
-        ``*_begin`` protocol; ``resolve:<path>`` marks a path no mount
-        owns.  Surfaced in the RunReport meta so a capability regression
-        shows up in telemetry instead of only in a profile.
-        """
-        p = ""
-        try:
-            for p in paths:
-                fs, _ = self.mounts.resolve(p)
-                if not continuation_capable(fs):
-                    return f"backend:{type(fs).__name__}"
-        except StorageError:
-            return f"resolve:{p}"
+        """Why :meth:`fused_capable` declines: never, since every
+        shipped backend — fault-injection proxies included — speaks the
+        ``*_begin`` protocol."""
         return None
 
     def open_begin(self, path: str, cb: Any) -> OpenFile:

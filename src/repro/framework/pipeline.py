@@ -143,8 +143,7 @@ class _FusedReader:
     the whole epoch continuation-capable (see ``PosixReader.fused_capable``;
     the MONARCH readers are always capable and route per read), opens
     and reads go through the backend's ``*_begin`` calls.  Otherwise — a
-    generator-only reader, a fault-injection wrapper, a cache-writing
-    epoch — every open, and every chunk (``pread``, then the cache write
+    generator-only reader, a cache-writing epoch — every open, and every chunk (``pread``, then the cache write
     while cache-writing), runs a small generator through the
     :class:`~repro.framework.io_layer._LegacyDrive` trampoline, for the
     whole epoch, so the shared jitter stream's draw order never depends
@@ -571,8 +570,8 @@ class EpochPipeline:
 
         Readers and mappers are continuation state machines, kicked off
         at-now/urgent in stage order.  Readers use the ``*_begin``
-        protocol when every shard's backend speaks it and the epoch is
-        not also writing the tf.data cache; otherwise they run the
+        protocol when the reader speaks it and the epoch is not also
+        writing the tf.data cache; otherwise they run the
         reader's generators through the trampoline (see
         :class:`_FusedReader`).
         """

@@ -281,10 +281,7 @@ class Resource:
                 sim._normal.append(ev)
             return ev
         ev._phase = 0
-        if self._in_use < self.capacity and not self._queue:
-            self._grant(ev)
-        else:
-            self._queue.append(ev)
+        self._queue.append(ev)
         return ev
 
     def _recycle_hold(self, ev: "_HoldEnd") -> None:

@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.simkernel.core import Simulator
+from repro.simkernel.core import Event, Simulator
 from repro.simkernel.resources import Resource
 from repro.storage.blockmath import JitterStream, mib_per_s, transfer_time
 
@@ -132,25 +132,26 @@ class Device:
 
     def read(self, nbytes: int) -> Generator[Any, Any, int]:
         """Timed read: queue for a channel, hold it for the service time."""
-        t = self.read_service_time(nbytes)
-        yield self._channel.hold(t)
+        yield self.issue(nbytes, False)
         return nbytes
 
     def write(self, nbytes: int) -> Generator[Any, Any, int]:
         """Timed write: queue for a channel, hold it for the service time."""
-        t = self.write_service_time(nbytes)
-        yield self._channel.hold(t)
+        yield self.issue(nbytes, True)
         return nbytes
 
-    def read_service_time(self, nbytes: int) -> float:
-        """Jittered service time for one read, drawing from the device stream."""
-        js = self._jitter
-        return self.read_time(nbytes) * (js.factor() if js is not None else 1.0)
+    def issue(self, nbytes: int, write: bool) -> Event:
+        """Start one timed transfer; returns its channel hold.
 
-    def write_service_time(self, nbytes: int) -> float:
-        """Jittered service time for one write, drawing from the device stream."""
+        The one timing model behind :meth:`read`/:meth:`write` and the
+        local file system's reads: the jittered service time is drawn
+        from the device stream now.
+        """
+        t = self.write_time(nbytes) if write else self.read_time(nbytes)
         js = self._jitter
-        return self.write_time(nbytes) * (js.factor() if js is not None else 1.0)
+        if js is not None:
+            t *= js.factor()
+        return self._channel.hold(t)
 
     @property
     def channel(self) -> Resource:

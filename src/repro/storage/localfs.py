@@ -16,7 +16,7 @@ from collections.abc import Generator
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.simkernel.core import Simulator
+from repro.simkernel.core import Event, Simulator
 from repro.storage.base import (
     FileHandle,
     FileMeta,
@@ -104,14 +104,23 @@ class LocalFileSystem(FileSystem):
         return self._capacity
 
     # -- timed operations -------------------------------------------------
+    # Each timed read op has one issue function (``_issue_*``) that
+    # validates, counts, draws and returns the event the op completes on.
+    # The generator form yields that event; the continuation form
+    # (``*_begin``, for fused readers) hands ``cb`` to it.  Both forms
+    # therefore do everything in the caller's dispatch slot and complete
+    # in the same slot.
+
     def open(self, path: str, flags: str = "r") -> Generator[Any, Any, FileHandle]:
+        if flags == "r":
+            handle, ev = self._issue_open(path)
+            yield ev
+            return handle
         p = norm_path(path)
         self.stats.record_open()
         yield self.sim.timeout(_LOCAL_META_LATENCY_S)
         entry = self._entries.get(p)
         if entry is None:
-            if flags == "r":
-                raise FileNotFoundInFS(f"{self.name}: {path}")
             entry = _Entry(meta=FileMeta(path=p, size=0), created_at=self.sim.now)
             self._entries[p] = entry
         elif flags == "w":
@@ -121,77 +130,71 @@ class LocalFileSystem(FileSystem):
         entry.last_access = self.sim.now
         return FileHandle(fs=self, meta=entry.meta, flags=flags)
 
-    def pread(self, handle: FileHandle, offset: int, nbytes: int) -> Generator[Any, Any, int]:
-        if offset < 0 or nbytes < 0:
-            raise ValueError("negative offset or length")
-        size = handle.meta.size
-        take = max(0, min(nbytes, size - offset))
-        entry = self._entries.get(handle.meta.path)
-        if entry is not None:
-            entry.last_access = self.sim.now
-        self.stats.record_read(take)
-        if take <= 0:
-            yield self.sim.timeout(_LOCAL_META_LATENCY_S)
-            return take
-        cache = self.page_cache
-        if cache is not None and cache.lookup(handle.meta.path):
-            yield self.sim.timeout(cache.hit_time(take))
-            return take
-        yield from self.device.read(take)
-        if cache is not None:
-            cache.insert(handle.meta.path, handle.meta.size)
-        return take
-
-    def pread_begin(self, handle: FileHandle, offset: int, nbytes: int, cb: Any) -> int:
-        """Continuation-style :meth:`pread` for fused readers.
-
-        Returns the transfer size synchronously and schedules ``cb(event)``
-        at the completion instant; stats, page-cache lookups and jitter
-        draws all happen in the caller's dispatch slot, exactly where the
-        generator form would perform them.
-        """
-        if offset < 0 or nbytes < 0:
-            raise ValueError("negative offset or length")
-        size = handle.meta.size
-        take = max(0, min(nbytes, size - offset))
-        entry = self._entries.get(handle.meta.path)
-        if entry is not None:
-            entry.last_access = self.sim.now
-        self.stats.record_read(take)
-        if take <= 0:
-            self.sim.timeout(_LOCAL_META_LATENCY_S).add_callback(cb)
-            return take
-        cache = self.page_cache
-        if cache is not None and cache.lookup(handle.meta.path):
-            self.sim.timeout(cache.hit_time(take)).add_callback(cb)
-            return take
-        dev = self.device
-        ev = dev._channel.hold(dev.read_service_time(take))
-        if cache is not None:
-            # Insert at the completion instant, as the generator form does
-            # (concurrent lookups during the transfer must still miss).
-            def _insert(_ev: Any, cache: PageCache = cache, handle: FileHandle = handle) -> None:
-                cache.insert(handle.meta.path, handle.meta.size)
-
-            ev.add_callback(_insert)
-        ev.add_callback(cb)
-        return take
-
     def open_begin(self, path: str, cb: Any) -> FileHandle:
         """Continuation-style read-only :meth:`open` for fused readers."""
-        p = norm_path(path)
-        self.stats.record_open()
-        entry = self._entries.get(p)
+        return self._issue_open(path, cb)[0]
+
+    def _issue_open(self, path: str, cb: Any = None) -> tuple[FileHandle, Event]:
+        """Read-only open: the handle, and the metadata op completing it
+        (which stamps the entry's access time)."""
+        entry = self._entries.get(norm_path(path))
         if entry is None:
             raise FileNotFoundInFS(f"{self.name}: {path}")
+        self.stats.record_open()
         ev = self.sim.timeout(_LOCAL_META_LATENCY_S)
 
         def _touch(_ev: Any, entry: _Entry = entry, sim: Simulator = self.sim) -> None:
             entry.last_access = sim.now
 
         ev.add_callback(_touch)
-        ev.add_callback(cb)
-        return FileHandle(fs=self, meta=entry.meta, flags="r")
+        if cb is not None:
+            ev.add_callback(cb)
+        return FileHandle(fs=self, meta=entry.meta, flags="r"), ev
+
+    def pread(self, handle: FileHandle, offset: int, nbytes: int) -> Generator[Any, Any, int]:
+        take, ev = self._issue_pread(handle, offset, nbytes)
+        yield ev
+        return take
+
+    def pread_begin(self, handle: FileHandle, offset: int, nbytes: int, cb: Any) -> int:
+        """Continuation-style :meth:`pread`: returns the transfer size
+        synchronously and schedules ``cb(event)`` at the completion
+        instant."""
+        return self._issue_pread(handle, offset, nbytes, cb)[0]
+
+    def _issue_pread(
+        self, handle: FileHandle, offset: int, nbytes: int, cb: Any = None
+    ) -> tuple[int, Event]:
+        """One read: the transfer size, and the event completing it.
+
+        Served from the page cache when the file is resident, else by the
+        device; a device read inserts the file into the page cache at its
+        completion instant (concurrent lookups during the transfer still
+        miss), before ``cb`` runs.
+        """
+        if offset < 0 or nbytes < 0:
+            raise ValueError("negative offset or length")
+        take = max(0, min(nbytes, handle.meta.size - offset))
+        entry = self._entries.get(handle.meta.path)
+        if entry is not None:
+            entry.last_access = self.sim.now
+        self.stats.record_read(take)
+        cache = self.page_cache
+        if take <= 0:
+            ev = self.sim.timeout(_LOCAL_META_LATENCY_S)
+        elif cache is not None and cache.lookup(handle.meta.path):
+            ev = self.sim.timeout(cache.hit_time(take))
+        else:
+            ev = self.device.issue(take, False)
+            if cache is not None:
+
+                def _insert(_ev: Any, cache: PageCache = cache, handle: FileHandle = handle) -> None:
+                    cache.insert(handle.meta.path, handle.meta.size)
+
+                ev.add_callback(_insert)
+        if cb is not None:
+            ev.add_callback(cb)
+        return take, ev
 
     def pwrite(self, handle: FileHandle, offset: int, nbytes: int) -> Generator[Any, Any, int]:
         if offset < 0 or nbytes < 0:

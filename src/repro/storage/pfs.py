@@ -29,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.simkernel.core import Simulator
+from repro.simkernel.core import Event, Simulator
 from repro.simkernel.resources import Resource, parallel_using
 from repro.storage.base import (
     FileHandle,
@@ -44,11 +44,7 @@ from repro.storage.blockmath import (
     mib_per_s,
     split_into_chunks,
 )
-from repro.storage.interference import (
-    ARInterference,
-    ConstantInterference,
-    InterferenceModel,
-)
+from repro.storage.interference import ConstantInterference, InterferenceModel
 from repro.storage.stats import BackendStats
 
 __all__ = ["PFSConfig", "ParallelFileSystem"]
@@ -129,8 +125,7 @@ class ParallelFileSystem(FileSystem):
             if rng is not None and self.config.jitter_sigma > 0
             else None
         )
-        # Hot-path constants (pread_begin): per-OST bandwidth before the
-        # interference share, computed exactly as base_time does.
+        # Per-OST bandwidth before the interference share (base_time).
         cfg = self.config
         self._ost_bw_bps = mib_per_s(cfg.client_read_bw_mib) / cfg.n_osts
         self._ost_bw_bps_w = mib_per_s(cfg.client_write_bw_mib) / cfg.n_osts
@@ -176,9 +171,6 @@ class ParallelFileSystem(FileSystem):
         return None  # effectively unbounded for a single job
 
     # -- internals ----------------------------------------------------------
-    def _bandwidth_share(self) -> float:
-        return self.interference.share_at(self.sim.now)
-
     def base_time(self, nbytes: int, write: bool, sequential: bool) -> float:
         """Jitter-free service time for one piece on one OST, starting now.
 
@@ -189,19 +181,20 @@ class ParallelFileSystem(FileSystem):
         penalty modelling lost readahead / RPC amortization).
         """
         cfg = self.config
-        bw = cfg.client_write_bw_mib if write else cfg.client_read_bw_mib
-        share = self.interference.share_at(self.sim.now)
-        bw_bps = mib_per_s(bw) / cfg.n_osts * share
+        bw_bps = (self._ost_bw_bps_w if write else self._ost_bw_bps) * (
+            self.interference.share_at(self.sim._now)
+        )
         if not write and not sequential:
             bw_bps *= cfg.random_read_penalty
         return cfg.rpc_latency_s + nbytes / bw_bps
 
     def _data_time(self, nbytes: int, write: bool, sequential: bool) -> float:
         """Jittered service time for one piece, drawing from the shared stream."""
+        t = self.base_time(nbytes, write, sequential)
         js = self._jitter
-        return self.base_time(nbytes, write, sequential) * (
-            js.factor() if js is not None else 1.0
-        )
+        if js is not None:
+            t *= js.factor()
+        return t
 
     def _ost_for(self, entry: _PFSEntry, offset: int) -> Resource:
         idx = (entry.stripe_offset + offset // self.config.stripe_size) % self.config.n_osts
@@ -214,24 +207,31 @@ class ParallelFileSystem(FileSystem):
             raise FileNotFoundInFS(f"{self.name}: {path}")
         return self._ost_for(entry, offset)
 
-    def _mds_time(self) -> float:
+    def _mds_hold(self, cb: Any = None) -> Event:
+        """One metadata round trip on the MDS, starting now."""
         js = self._jitter
         t = self.config.mds_latency_s * (js.factor() if js is not None else 1.0)
         # Interference also slows metadata service.
-        return t / max(self._bandwidth_share(), 1e-3)
-
-    def _mds_op(self) -> Generator[Any, Any, None]:
-        yield self._mds.hold(self._mds_time())
+        share = self.interference.share_at(self.sim._now)
+        return self._mds.hold(t / max(share, 1e-3), cb)
 
     # -- timed operations -----------------------------------------------------
+    # The read ops each have one issue function (``_issue_*``) that
+    # validates, counts, draws and returns the event the op completes on.
+    # The generator form yields that event; the continuation form
+    # (``*_begin``, for fused readers) hands ``cb`` to it, so both forms
+    # take the same dispatch slots by construction.
+
     def open(self, path: str, flags: str = "r") -> Generator[Any, Any, FileHandle]:
+        if flags == "r":
+            handle, ev = self._issue_open(path)
+            yield ev
+            return handle
         p = norm_path(path)
         self.stats.record_open()
-        yield from self._mds_op()
+        yield self._mds_hold()
         entry = self._entries.get(p)
         if entry is None:
-            if flags == "r":
-                raise FileNotFoundInFS(f"{self.name}: {path}")
             entry = _PFSEntry(meta=FileMeta(path=p, size=0), stripe_offset=self._next_stripe)
             self._next_stripe = (self._next_stripe + 1) % self.config.n_osts
             self._entries[p] = entry
@@ -239,6 +239,26 @@ class ParallelFileSystem(FileSystem):
             self._used -= entry.meta.size
             entry.meta.size = 0
         return FileHandle(fs=self, meta=entry.meta, flags=flags)
+
+    def open_begin(self, path: str, cb: Any) -> FileHandle:
+        """Continuation-style read-only :meth:`open` for fused readers.
+
+        Returns the handle synchronously and schedules ``cb(event)`` once
+        the MDS round trip completes.
+        """
+        return self._issue_open(path, cb)[0]
+
+    def _issue_open(self, path: str, cb: Any = None) -> tuple[FileHandle, Event]:
+        """Read-only open: the handle, and the MDS round trip completing it.
+
+        The namespace is resolved eagerly: PFS entries are immutable
+        during a run.
+        """
+        entry = self._entries.get(norm_path(path))
+        if entry is None:
+            raise FileNotFoundInFS(f"{self.name}: {path}")
+        self.stats.record_open()
+        return FileHandle(fs=self, meta=entry.meta, flags="r"), self._mds_hold(cb)
 
     def pread(
         self,
@@ -253,30 +273,8 @@ class ParallelFileSystem(FileSystem):
         hook behind MONARCH's observation that background full-file copies
         extract more from Lustre than the framework's scattered part reads.
         """
-        if offset < 0 or nbytes < 0:
-            raise ValueError("negative offset or length")
-        entry = self._entries.get(handle.meta.path)
-        if entry is None:
-            raise FileNotFoundInFS(f"{self.name}: {handle.meta.path}")
-        take = max(0, min(nbytes, handle.meta.size - offset))
-        self.stats.record_read(take)
-        if take == 0:
-            yield from self._mds_op()
-            return 0
-        # Split on stripe boundaries; pieces on distinct OSTs are serviced
-        # concurrently, the slowest one gates return.
-        pieces = split_into_chunks(offset, take, self.config.stripe_size)
-        if len(pieces) == 1:
-            off, ln = pieces[0]
-            yield self._ost_for(entry, off).hold(self._data_time(ln, False, sequential))
-            return take
-        yield parallel_using(
-            self.sim,
-            [
-                (self._ost_for(entry, off), self._data_time(ln, False, sequential))
-                for off, ln in pieces
-            ],
-        )
+        take, ev = self._issue_pread(handle, offset, nbytes, sequential)
+        yield ev
         return take
 
     def pread_begin(
@@ -287,13 +285,23 @@ class ParallelFileSystem(FileSystem):
         cb: Any,
         sequential: bool = False,
     ) -> int:
-        """Continuation-style :meth:`pread` for fused readers.
+        """Continuation-style :meth:`pread` for fused readers: returns the
+        transfer size synchronously and schedules ``cb(event)`` at the
+        completion instant."""
+        return self._issue_pread(handle, offset, nbytes, sequential, cb)[0]
 
-        Returns the transfer size synchronously and schedules ``cb(event)``
-        at the completion instant.  Jitter draws, stats and OST queueing all
-        happen in the caller's dispatch slot, exactly where the generator
-        form would perform them — the only difference is that no generator
-        is parked on the result.
+    def _issue_pread(
+        self,
+        handle: FileHandle,
+        offset: int,
+        nbytes: int,
+        sequential: bool,
+        cb: Any = None,
+    ) -> tuple[int, Event]:
+        """One read: the transfer size, and the event completing it.
+
+        The read splits on stripe boundaries; pieces on distinct OSTs are
+        serviced concurrently and the slowest one gates completion.
         """
         if offset < 0 or nbytes < 0:
             raise ValueError("negative offset or length")
@@ -302,66 +310,27 @@ class ParallelFileSystem(FileSystem):
             raise FileNotFoundInFS(f"{self.name}: {handle.meta.path}")
         take = max(0, min(nbytes, handle.meta.size - offset))
         # Through the method, not inlined increments: IOTrace instruments
-        # backends by wrapping record_read, and the fused path must stay
-        # visible to it.
+        # backends by wrapping record_read.
         self.stats.record_read(take)
         if take == 0:
-            self._mds.hold(self._mds_time()).add_callback(cb)
-            return 0
+            return 0, self._mds_hold(cb)
         cfg = self.config
         stripe = cfg.stripe_size
         if offset // stripe == (offset + take - 1) // stripe:
-            # Single-piece fast path with base_time + _data_time inlined
-            # op-for-op (same float expression order, hence bit-identical);
-            # this is the per-chunk cost of every fused reader.  The AR
-            # interference lookup is inlined for its memo-hit case (the
-            # current step's load is almost always already materialized).
-            intf = self.interference
-            if type(intf) is ARInterference:
-                k = int(self.sim._now // intf.interval)
-                loads = intf._loads
-                share = 1.0 - loads[k] if k < len(loads) else intf.share_at(self.sim._now)
-            else:
-                share = intf.share_at(self.sim._now)
-            bw_bps = self._ost_bw_bps * share
-            if not sequential:
-                bw_bps *= cfg.random_read_penalty
-            t = cfg.rpc_latency_s + take / bw_bps
-            js = self._jitter
-            if js is not None:
-                i = js._i
-                if i >= len(js._fs):
-                    js._refill()
-                    i = 0
-                js._i = i + 1
-                t *= js._fs[i]
+            # One piece: the per-chunk shape of every pipeline read.
+            t = self._data_time(take, False, sequential)
             idx = (entry.stripe_offset + offset // stripe) % cfg.n_osts
-            self._osts[idx].hold(t, cb)
-            return take
-        pieces = split_into_chunks(offset, take, stripe)
-        parallel_using(
+            return take, self._osts[idx].hold(t, cb)
+        ev = parallel_using(
             self.sim,
             [
                 (self._ost_for(entry, off), self._data_time(ln, False, sequential))
-                for off, ln in pieces
+                for off, ln in split_into_chunks(offset, take, stripe)
             ],
-        ).add_callback(cb)
-        return take
-
-    def open_begin(self, path: str, cb: Any) -> FileHandle:
-        """Continuation-style read-only :meth:`open` for fused readers.
-
-        Returns the handle synchronously (the namespace is resolved
-        eagerly; PFS entries are immutable during a run) and schedules
-        ``cb(event)`` once the MDS round trip completes.
-        """
-        p = norm_path(path)
-        entry = self._entries.get(p)
-        if entry is None:
-            raise FileNotFoundInFS(f"{self.name}: {path}")
-        self.stats.record_open()
-        self._mds.hold(self._mds_time()).add_callback(cb)
-        return FileHandle(fs=self, meta=entry.meta, flags="r")
+        )
+        if cb is not None:
+            ev.add_callback(cb)
+        return take, ev
 
     def pwrite(self, handle: FileHandle, offset: int, nbytes: int) -> Generator[Any, Any, int]:
         if offset < 0 or nbytes < 0:
@@ -375,7 +344,7 @@ class ParallelFileSystem(FileSystem):
         if nbytes > 0:
             yield self._ost_for(entry, offset).hold(self._data_time(nbytes, True, True))
         else:
-            yield from self._mds_op()
+            yield self._mds_hold()
         new_end = offset + nbytes
         growth = max(0, new_end - handle.meta.size)
         handle.meta.size = max(handle.meta.size, new_end)
@@ -385,7 +354,7 @@ class ParallelFileSystem(FileSystem):
     def stat(self, path: str) -> Generator[Any, Any, FileMeta]:
         p = norm_path(path)
         self.stats.record_stat()
-        yield from self._mds_op()
+        yield self._mds_hold()
         entry = self._entries.get(p)
         if entry is None:
             raise FileNotFoundInFS(f"{self.name}: {path}")
@@ -396,7 +365,7 @@ class ParallelFileSystem(FileSystem):
         if not prefix.endswith("/"):
             prefix += "/"
         self.stats.record_listdir()
-        yield from self._mds_op()
+        yield self._mds_hold()
         return sorted(p for p in self._entries if p.startswith(prefix))
 
     def unlink(self, path: str) -> None:

@@ -334,8 +334,8 @@ def _tag_policy(meta: dict[str, Any], telemetry: RunTelemetry) -> None:
 def _tag_fusion_misses(meta: dict[str, Any], result: Any) -> None:
     """Record which reads ran through the generator trampoline, and why.
 
-    A capability miss — a reader or backend that doesn't speak the
-    continuation protocol — means that epoch's reads (or, for the serving
+    A capability miss — a reader that doesn't speak the continuation
+    protocol — means that epoch's reads (or, for the serving
     replay, that job's requests) were trampolined, which only a profile
     would otherwise show.  Emitted only when non-empty (a cache-writing
     epoch is trampolined by design and is not a miss), so existing

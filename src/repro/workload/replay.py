@@ -443,11 +443,10 @@ class _Flight:
     """One in-flight request: the continuation state of its would-be process.
 
     Called as the read's completion callback; :meth:`opened` continues a
-    timed open, :meth:`gated` a read queued behind its job's setup.  Only
-    the generator trampoline delivers failed events (continuation-capable
-    backends complete on timed holds, which cannot fail), and it delivers
-    them in the slot the dying process's fail event would occupy — so a
-    failure exits at once.
+    timed open, :meth:`gated` a read queued behind its job's setup.  A
+    failed event — from the generator trampoline, or a fault proxy's
+    continuation op — arrives in the slot the dying process's fail event
+    would occupy, so a failure exits at once.
     """
 
     __slots__ = ("driver", "req", "due", "f")

@@ -9,11 +9,11 @@ pin the cells that exercise the input pipeline's reader paths harder:
 * ``monarch_p2p`` — three nodes, reshuffled partitions: peer fetches.
 * ``dist_vanilla_spiked_pfs`` — three vanilla nodes, two readers each,
   over a fault-wrapped, latency-spiked PFS: epoch ends abort pipelines
-  whose generator reads are still queued at, or holding, an OST.
+  whose reads are still queued at, or holding, an OST.
 * ``monarch_ssd_down`` — the SSD dies mid-run and comes back (seed 3):
   quarantine, then thousands of probe reads.
-* ``vanilla_faulty_pfs`` — a fault-wrapped PFS mount, which is not
-  continuation-capable: every read runs a generator.
+* ``vanilla_faulty_pfs`` — a fault-wrapped PFS mount whose plan never
+  fires: every read passes through the fault proxy.
 * ``vanilla_caching`` — epoch 1 reads the PFS and writes the tf.data
   cache.
 * ``multi_tenancy`` — two capped jobs sharing one MONARCH instance.

@@ -6,10 +6,13 @@ waiting forever.  This holds whether the failure lands while arrivals
 are still being dispatched or while stragglers drain, for generator-only
 readers (driven through the shared trampoline) and for the middleware's
 continuation path alike.  Readers that cannot serve continuation-style
-say why in the result and the RunReport meta.
+say why in the result and the RunReport meta; a fault-wrapped mount is
+not such a case.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.experiments.calibration import DEFAULT_CALIBRATION
 from repro.experiments.runner import run_once
 from repro.experiments.scenarios import PFS_MOUNT, build_run
 from repro.faults.plan import FaultPlan, LatencySpike, TierDown
+from repro.framework.io_layer import PosixReader
 from repro.simkernel.core import Simulator
 from repro.storage.base import IOFaultError
 from repro.workload.replay import ReplayDriver
@@ -92,19 +96,22 @@ def test_monarch_pfs_retry_exhaustion_fails_the_run(down_at):
     assert res.fusion_misses == {}
 
 
-def test_fault_wrapped_mount_miss_reaches_the_report():
-    """A wrapped PFS keeps vanilla serving on the trampoline, visibly."""
+def test_fault_wrapped_mount_serves_through_the_protocol(monkeypatch):
+    """A wrapped PFS keeps vanilla serving on the continuation protocol:
+    no capability miss reaches the report, and the spiked replay equals
+    the one whose reads run through the trampoline."""
     plan = FaultPlan({PFS_MOUNT: (LatencySpike(start=0.0, end=1.0, multiplier=2.0),)})
-    rec = run_once(
-        setup="vanilla-lustre", model_name="lenet", dataset=IMAGENET_100G,
-        scale=1 / 4096, seed=0, workload=WORKLOADS["serve-zipf"],
-        fault_plan=plan, report=True,
-    )
-    assert rec.report["meta"]["fused_capability_misses"] == {
-        "backend:FaultyFileSystem": 1
-    }
-    clean = run_once(
-        setup="vanilla-lustre", model_name="lenet", dataset=IMAGENET_100G,
-        scale=1 / 4096, seed=0, workload=WORKLOADS["serve-zipf"], report=True,
-    )
-    assert "fused_capability_misses" not in clean.report["meta"]
+
+    def serve():
+        return run_once(
+            setup="vanilla-lustre", model_name="lenet", dataset=IMAGENET_100G,
+            scale=1 / 4096, seed=0, workload=WORKLOADS["serve-zipf"],
+            fault_plan=plan, report=True,
+        )
+
+    rec = serve()
+    assert "fused_capability_misses" not in rec.report["meta"]
+    monkeypatch.setattr(PosixReader, "fused_miss", lambda self, paths: "forced")
+    trampolined = serve()
+    assert trampolined.report["meta"]["fused_capability_misses"] == {"forced": 1}
+    assert replace(trampolined, report=None) == replace(rec, report=None)
