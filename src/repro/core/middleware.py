@@ -365,23 +365,26 @@ class Monarch:
         through :meth:`TierHealthTracker.should_attempt`, but whether such
         reads happen at all depends on the workload's remaining mix — a
         stretch of purely PFS-resident reads would leave a recovered tier
-        un-probed long past its due time.  Probing a known resident from
-        the PFS path keeps re-admission latency a property of the probe
-        cadence, not of which files the epoch happens to touch.  A failed
-        probe is a zero-time injected error; a successful one costs a
-        single one-byte read on the recovered device.
+        un-probed long past its due time.  Probing from the PFS path keeps
+        re-admission latency a property of the probe cadence, not of which
+        files the epoch happens to touch.  The probe is a one-byte read of
+        a known resident or, on a tier that holds none (it faulted before
+        its first copy landed), a listing of the tier's dataset directory:
+        a metadata op, which the fault proxy checks like any other.  A
+        failed probe is a zero-time injected error.
         """
         health = self._health
         for level in health.quarantined_levels():
             if not health.should_attempt(level):
                 continue
             name = self.placement.probe_candidate(level)
-            if name is None:
-                continue
             driver = self.hierarchy[level]
             try:
-                handle = yield from driver._handle_for(name)
-                yield from driver.fs.pread(handle, 0, 1)
+                if name is None:
+                    yield from driver.fs.listdir(driver.local_path(self.config.dataset_dir))
+                else:
+                    handle = yield from driver._handle_for(name)
+                    yield from driver.fs.pread(handle, 0, 1)
             except IOFaultError:
                 health.record_fault(level)
                 self.stats.tier_faults[level] += 1

@@ -482,6 +482,9 @@ class TestPolicyFaultInteraction:
     def test_no_placement_targets_dead_tier(self, sim, mounts, dataset_paths, policy):
         m = make_monarch(sim, mounts, policy=policy)
         quarantine(m)
+        # No real fault is injected: hold the probe off, or the first
+        # degraded-mode read past the cooldown would re-admit the tier.
+        m.health._next_probe[0] = float("inf")
         for p in dataset_paths:
             read_slice(sim, m, p, settle=30.0)
         for p in dataset_paths:

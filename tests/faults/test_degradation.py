@@ -133,6 +133,40 @@ class TestReadFallback:
         assert monarch.stats.reads_per_level[0] == served_before + 1
 
 
+    def test_tier_down_before_first_copy_is_probed_and_readmitted(
+        self, sim, pfs, tiny_manifest
+    ):
+        # The SSD is down from the start: every copy fails, the tier is
+        # quarantined holding no file, and the placements are deferred.
+        monarch, local, _inj, paths = build_faulted_monarch(
+            sim,
+            pfs,
+            tiny_manifest,
+            ssd_events=[TierDown(at=0.0, recover_at=1.0)],
+            probe_interval_s=0.5,
+            copy_retries=0,
+        )
+
+        def first_pass():
+            for name in paths:
+                yield from monarch.read(name, 0, monarch.file_size(name))
+            yield from monarch.placement.drain()
+
+        drive(sim, first_pass())
+        assert monarch.health.quarantined_levels() == [0]
+        assert monarch.placement.stats.completed == 0
+        assert monarch.placement.probe_candidate(0) is None
+        # Past recovery and the probe cooldown, a PFS read probes the
+        # empty tier; re-admission retries the deferred placements.
+        read_at(sim, monarch, paths[0], at=2.0)
+        assert monarch.health.readmissions == 1
+        assert monarch.health.ok(0)
+        drive(sim, monarch.placement.drain())
+        assert monarch.placement.stats.completed > 0
+        assert local.used_bytes > 0
+        assert monarch.placement.probe_candidate(0) is not None
+
+
 class TestCopyRobustness:
     def test_transient_copy_faults_retry_then_land(self, sim, pfs, tiny_manifest):
         monarch, local, _inj, paths = build_faulted_monarch(

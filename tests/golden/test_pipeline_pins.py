@@ -10,8 +10,9 @@ pin the cells that exercise the input pipeline's reader paths harder:
 * ``dist_vanilla_spiked_pfs`` — three vanilla nodes, two readers each,
   over a fault-wrapped, latency-spiked PFS: epoch ends abort pipelines
   whose reads are still queued at, or holding, an OST.
-* ``monarch_ssd_down`` — the SSD dies mid-run and comes back (seed 3):
-  quarantine, then thousands of probe reads.
+* ``monarch_ssd_down`` — the SSD dies before its first copy lands and
+  comes back (seed 3): quarantine, a probe of the empty tier after
+  recovery, re-admission, then the deferred copies.
 * ``vanilla_faulty_pfs`` — a fault-wrapped PFS mount whose plan never
   fires: every read passes through the fault proxy.
 * ``vanilla_caching`` — epoch 1 reads the PFS and writes the tf.data
